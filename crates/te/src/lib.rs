@@ -31,9 +31,10 @@
 //!   [`RoutingScheme`](fatpaths_core::scheme::RoutingScheme) that
 //!   compiles through `fatpaths-fib` and repairs through
 //!   `repair_routes` like every other scheme.
-//! * [`TeController`] — the slow control loop: re-prices and re-routes
-//!   only the trees that actually cross links invalidated by fault or
-//!   churn events, caching per-layer rebuilds across repair ticks.
+//! * [`TeController`] — the slow control loop: repairs the trees that
+//!   cross links invalidated by fault or churn events subtree-locally,
+//!   re-settling only the routers a failure cuts off under the
+//!   negotiated prices (byte-identical to rebuilding those trees).
 //! * [`score`] — matrix scoring shared with the experiments: per-edge
 //!   loads of any scheme under equal flowlet split, and the achieved
 //!   throughput `1 / max_load` compared against the

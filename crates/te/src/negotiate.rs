@@ -81,6 +81,9 @@ pub struct TeScheme {
     /// `layer.neighbors(router)[i]` — precomputed so tree builds index
     /// costs without hashing.
     pub(crate) layer_eids: Vec<Vec<Vec<u32>>>,
+    /// What lies behind each base-graph port: load measurement and
+    /// repair walk table rows through it.
+    pub(crate) hops: PortHops,
     /// The (sorted) traffic matrix the tables were negotiated for.
     pub(crate) demands: Vec<RouterDemand>,
     cfg: TeConfig,
@@ -111,9 +114,7 @@ impl TeScheme {
         let layers = tables.layer_set().clone();
         let edge_index = base.edge_index_map();
         let eid = |u: u32, v: u32| edge_index[&(u.min(v), u.max(v))];
-        let base_eids: Vec<Vec<u32>> = (0..nr as u32)
-            .map(|u| base.neighbors(u).iter().map(|&v| eid(u, v)).collect())
-            .collect();
+        let hops = PortHops::new(base, eid);
         let layer_eids: Vec<Vec<Vec<u32>>> = (0..nl)
             .map(|l| {
                 let lg = layers.layer(l);
@@ -145,6 +146,7 @@ impl TeScheme {
             layers,
             costs: vec![1.0; m],
             layer_eids,
+            hops,
             demands,
             cfg: *cfg,
             iterations: 0,
@@ -156,7 +158,7 @@ impl TeScheme {
         }
         let mut hist = vec![0.0f64; m];
         let mut costs = vec![1.0f64; m];
-        let mut loads = measure_loads(base, &base_eids, &cur, nr, &scheme.demands);
+        let mut loads = measure_loads(m, &scheme.hops, &cur, nr, &scheme.demands);
         let mut prev = peak_of(&loads);
         scheme.peak = prev;
         scheme.converged = false;
@@ -173,7 +175,7 @@ impl TeScheme {
             }
             scheme.iterations += 1;
             rebuild_trees(base, &scheme.layers, &scheme.layer_eids, &costs, &mut cur);
-            loads = measure_loads(base, &base_eids, &cur, nr, &scheme.demands);
+            loads = measure_loads(m, &scheme.hops, &cur, nr, &scheme.demands);
             let peak = peak_of(&loads);
             if peak < scheme.peak {
                 scheme.peak = peak;
@@ -251,6 +253,54 @@ impl TeScheme {
     }
 }
 
+/// Flat `(router, base port) → (neighbor, base edge id, port back)`
+/// table: one lookup per hop when walking a forwarding row.
+#[derive(Clone, Debug)]
+pub(crate) struct PortHops {
+    /// `off[router]` = index of the router's port 0 in `hops`.
+    off: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+/// What lies behind one base-graph port.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Hop {
+    pub(crate) to: RouterId,
+    /// Base edge id.
+    pub(crate) eid: u32,
+    /// The port at `to` that leads back.
+    pub(crate) back: u16,
+}
+
+impl PortHops {
+    fn new(base: &Graph, eid: impl Fn(RouterId, RouterId) -> u32) -> PortHops {
+        let mut off = Vec::with_capacity(base.n() + 1);
+        let mut hops = Vec::with_capacity(2 * base.m());
+        for u in 0..base.n() as u32 {
+            off.push(hops.len() as u32);
+            hops.extend(base.neighbors(u).iter().map(|&v| Hop {
+                to: v,
+                eid: eid(u, v),
+                back: base.port_of(v, u).expect("undirected edge") as u16,
+            }));
+        }
+        off.push(hops.len() as u32);
+        PortHops { off, hops }
+    }
+
+    /// Every port of `router`, in port order.
+    #[inline]
+    pub(crate) fn ports(&self, router: RouterId) -> &[Hop] {
+        &self.hops[self.off[router as usize] as usize..self.off[router as usize + 1] as usize]
+    }
+
+    /// What lies behind `port` of `router`.
+    #[inline]
+    pub(crate) fn hop(&self, router: RouterId, port: u16) -> Hop {
+        self.hops[self.off[router as usize] as usize + port as usize]
+    }
+}
+
 impl RoutingScheme for TeScheme {
     fn name(&self) -> &'static str {
         "te"
@@ -272,9 +322,9 @@ impl RoutingScheme for TeScheme {
     }
 
     /// Delegates to a fresh [`crate::TeController`] — one coalesced
-    /// repair per tick, pricing degraded reroutes with the negotiated
-    /// cost snapshot. Hold a controller across ticks to reuse its
-    /// per-layer rebuild cache.
+    /// subtree-local repair per tick, pricing degraded reroutes with the
+    /// negotiated cost snapshot. Hold a controller across ticks to reuse
+    /// its per-layer cache of changed rows.
     fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
         crate::TeController::new(self).repair(base, down)
     }
@@ -316,7 +366,7 @@ fn rebuild_trees(
 
 /// `f64` ordered by `total_cmp` so it can key the Dijkstra heap.
 #[derive(Clone, Copy, PartialEq)]
-struct OrdF64(f64);
+pub(crate) struct OrdF64(pub(crate) f64);
 impl Eq for OrdF64 {}
 impl PartialOrd for OrdF64 {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -329,10 +379,14 @@ impl Ord for OrdF64 {
     }
 }
 
+/// Min-heap of `(distance, router)` — the Dijkstra frontier.
+pub(crate) type Frontier = BinaryHeap<Reverse<(OrdF64, u32)>>;
+
 /// Builds one negotiated `(layer, dst)` tree: Dijkstra from `dst` over
 /// the layer subgraph under `costs`, then one hash-tie-broken cheapest
-/// predecessor per source — the same `fnv1a(layer, src, dst)` discipline
-/// as the static tables. `skip` masks down links (degraded rebuilds).
+/// predecessor per source ([`pick_port`]) — the same
+/// `fnv1a(layer, src, dst)` discipline as the static tables. `down`
+/// masks base edge ids (degraded rebuilds).
 ///
 /// Deterministic: the heap orders by `(distance, router)` and final
 /// distances are unique minima, so the pick depends only on inputs.
@@ -344,58 +398,85 @@ pub(crate) fn weighted_tree(
     lg: &Graph,
     eids: &[Vec<u32>],
     costs: &[f64],
-    skip: Option<&DownLinks>,
+    down: Option<&[bool]>,
     layer: u32,
     dst: u32,
     trow: &mut [u16],
 ) {
-    let n = lg.n();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
+    let dist = tree_distances(lg, eids, costs, down, dst);
+    for src in 0..lg.n() as u32 {
+        if src != dst && dist[src as usize].is_finite() {
+            trow[src as usize] = pick_port(base, lg, eids, costs, down, layer, dst, src, &dist);
+        }
+    }
+}
+
+/// Distances to `dst` over the layer subgraph under `costs` (Dijkstra;
+/// `INFINITY` where unreachable). Each settled value is the minimum of
+/// `dist[u] + cost(u, v)` over its neighbors, so [`pick_port`]'s
+/// bit-exact candidate test always finds the relaxing neighbor.
+pub(crate) fn tree_distances(
+    lg: &Graph,
+    eids: &[Vec<u32>],
+    costs: &[f64],
+    down: Option<&[bool]>,
+    dst: u32,
+) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; lg.n()];
+    let mut heap = Frontier::new();
     dist[dst as usize] = 0.0;
     heap.push(Reverse((OrdF64(0.0), dst)));
     while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
         if d > dist[u as usize] {
             continue;
         }
-        for (i, &v) in lg.neighbors(u).iter().enumerate() {
-            if skip.is_some_and(|s| s.contains(u, v)) {
+        for (&v, &e) in lg.neighbors(u).iter().zip(&eids[u as usize]) {
+            if down.is_some_and(|m| m[e as usize]) {
                 continue;
             }
-            let nd = d + costs[eids[u as usize][i] as usize];
+            let nd = d + costs[e as usize];
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
                 heap.push(Reverse((OrdF64(nd), v)));
             }
         }
     }
-    for src in 0..n as u32 {
-        let ds = dist[src as usize];
-        if src == dst || !ds.is_finite() {
-            continue;
-        }
-        let nbs = lg.neighbors(src);
-        // Candidates: neighbors whose settled distance plus the edge
-        // price equals ours bit-exactly — the neighbor that relaxed us
-        // always qualifies, so the set is non-empty.
-        let cand = |i: usize, v: u32| {
-            !skip.is_some_and(|s| s.contains(src, v))
-                && dist[v as usize] + costs[eids[src as usize][i] as usize] == ds
-        };
-        let count = nbs.iter().enumerate().filter(|&(i, &v)| cand(i, v)).count();
-        debug_assert!(count > 0);
-        let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
-        let pick = (fnv1a(key) % count as u64) as usize;
-        let (_, &chosen) = nbs
+    dist
+}
+
+/// The base-graph port `src` forwards on toward `dst`: among live layer
+/// neighbors whose settled distance plus the edge price equals `src`'s
+/// bit-exactly (never empty — the neighbor that relaxed `src`
+/// qualifies), the `fnv1a(layer, src, dst)`-th in neighbor order.
+/// `dist[src]` must be finite.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pick_port(
+    base: &Graph,
+    lg: &Graph,
+    eids: &[Vec<u32>],
+    costs: &[f64],
+    down: Option<&[bool]>,
+    layer: u32,
+    dst: u32,
+    src: u32,
+    dist: &[f64],
+) -> u16 {
+    let ds = dist[src as usize];
+    let cands = || {
+        lg.neighbors(src)
             .iter()
-            .enumerate()
-            .filter(|&(i, &v)| cand(i, v))
-            .nth(pick)
-            .unwrap();
-        trow[src as usize] = base
-            .port_of(src, chosen)
-            .expect("layer edge must exist in base graph") as u16;
-    }
+            .zip(&eids[src as usize])
+            .filter(move |&(&v, &e)| {
+                !down.is_some_and(|m| m[e as usize]) && dist[v as usize] + costs[e as usize] == ds
+            })
+            .map(|(&v, _)| v)
+    };
+    let count = cands().count();
+    debug_assert!(count > 0);
+    let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
+    let chosen = cands().nth((fnv1a(key) % count as u64) as usize).unwrap();
+    base.port_of(src, chosen)
+        .expect("layer edge must exist in base graph") as u16
 }
 
 /// Per-edge load of the tree set under `demands` with equal split over
@@ -403,14 +484,14 @@ pub(crate) fn weighted_tree(
 /// Sequential in (sorted) demand order, so float accumulation is
 /// order-stable at any thread count.
 fn measure_loads(
-    base: &Graph,
-    base_eids: &[Vec<u32>],
+    m: usize,
+    ports: &PortHops,
     tables: &[Vec<u16>],
     nr: usize,
     demands: &[RouterDemand],
 ) -> Vec<f64> {
     let nl = tables.len();
-    let mut loads = vec![0.0f64; base.m()];
+    let mut loads = vec![0.0f64; m];
     for d in demands {
         let share = d.demand / nl as f64;
         for l in 0..nl {
@@ -426,8 +507,9 @@ fn measure_loads(
                 if p == NO_PORT {
                     break; // disconnected pair
                 }
-                loads[base_eids[at as usize][p as usize] as usize] += share;
-                at = base.neighbor_at(at, p as u32);
+                let hop = ports.hop(at, p);
+                loads[hop.eid as usize] += share;
+                at = hop.to;
                 hops += 1;
                 if hops > nr {
                     break; // defensive cap; trees are loop-free

@@ -138,3 +138,33 @@ fn empty_down_set_repairs_nothing_and_blast_radius_is_sane() {
         assert!(hit > 0);
     }
 }
+
+/// The repair's work count is machine-independent, so it can gate a
+/// fallback to full-tree rebuilds on any runner: one dead router on
+/// `slim_fly(5, 2)` re-settles a small fraction of the `layers ×
+/// routers²` a full rebuild of every tree would.
+#[test]
+fn one_router_down_settles_a_small_fraction_of_the_trees() {
+    let topo = fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap();
+    let g = &topo.graph;
+    let te = negotiated(&topo);
+    let nl = RoutingScheme::num_layers(&te) as u64;
+    let nr = g.n() as u64;
+    for dead in [0u32, 17, 41] {
+        let down = DownLinks::from_failures(g, &[], &[dead]);
+        let mut ctrl = TeController::new(&te);
+        let rep = ctrl.repair(g, &down);
+        assert!(!rep.is_empty());
+        // Router death touches every tree (the dead router's own row
+        // crosses one of its links) ...
+        assert_eq!(ctrl.rebuilt_trees(), nl * nr);
+        // ... but only the routers it cuts off are re-settled.
+        let settled = ctrl.settled_nodes();
+        assert!(settled > 0);
+        assert!(
+            settled * 10 < nl * nr * nr,
+            "router {dead} down: {settled} settled of {} (layers × routers²)",
+            nl * nr * nr
+        );
+    }
+}
