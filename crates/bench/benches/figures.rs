@@ -11,7 +11,7 @@ use fatpaths_diversity::interference::sample_pi;
 use fatpaths_mcf::mat::{mat, router_demands, LayeredPaths};
 use fatpaths_mcf::worstcase::worst_case_flows;
 use fatpaths_net::topo::slimfly::slim_fly;
-use fatpaths_sim::{LoadBalancing, SimConfig, Simulator};
+use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec};
 use fatpaths_workloads::arrivals::{poisson_flows, FlowSpec};
 use fatpaths_workloads::patterns::Pattern;
 use fatpaths_workloads::sizes::FlowSizeDist;
@@ -73,22 +73,19 @@ fn bench_figure_pipelines(c: &mut Criterion) {
 
     // Fig. 2 pipeline: Poisson workload → NDP sim → per-size stats.
     g.bench_function("fig2_sim_slice", |b| {
-        let ls = build_random_layers(&t.graph, &LayerConfig::new(4, 0.6, 1));
-        let rt = RoutingTables::build(&t.graph, &ls);
         let pairs = Pattern::Permutation.flows(t.num_endpoints() as u64, 2);
         let dist = FlowSizeDist::web_search();
         let flows: Vec<FlowSpec> = poisson_flows(&pairs, 150.0, 0.002, &dist, 3);
+        let sc = Scenario::on(&t)
+            .scheme(SchemeSpec::LayeredRandom {
+                n_layers: 4,
+                rho: 0.6,
+            })
+            .lb(LoadBalancing::FatPathsLayers)
+            .workload(&flows);
+        let scheme = sc.build_scheme();
         b.iter(|| {
-            let mut sim = Simulator::new(
-                &t,
-                &rt,
-                SimConfig {
-                    lb: LoadBalancing::FatPathsLayers,
-                    ..SimConfig::default()
-                },
-            );
-            sim.add_flows(&flows);
-            let res = sim.run();
+            let res = sc.run_with(&scheme);
             black_box(fatpaths_sim::metrics::throughput_by_size(&res))
         })
     });

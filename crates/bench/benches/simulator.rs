@@ -1,16 +1,11 @@
 //! Benchmarks for the packet simulator's event rate and the fluid solver —
-//! the cost ceiling for every §VII experiment — plus the routing-dispatch
-//! comparison backing the `RoutingScheme` redesign: concrete-type (static),
-//! trait-object (dyn), and `BuiltScheme`-enum dispatch on the same run.
+//! the cost ceiling for every §VII experiment. Schemes are built outside
+//! the timed loop; each iteration is one `Scenario::run_with`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::fwd::RoutingTables;
-use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_core::scheme::{MinimalScheme, RoutingScheme};
 use fatpaths_net::topo::slimfly::slim_fly;
 use fatpaths_sim::fluid::max_min_rates;
-use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, SimConfig, Simulator};
+use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, TcpVariant, Transport};
 use fatpaths_workloads::arrivals::FlowSpec;
 use std::hint::black_box;
 
@@ -34,106 +29,31 @@ fn bench_packet_sim(c: &mut Criterion) {
         t.num_routers() as u64,
         256 * 1024,
     );
-    let ls = build_random_layers(&t.graph, &LayerConfig::new(9, 0.6, 1));
-    let rt = RoutingTables::build(&t.graph, &ls);
-    let dm = DistanceMatrix::build(&t.graph);
-    let ms = MinimalScheme::new(&t.graph, &dm);
+    let fatpaths = Scenario::on(&t)
+        .scheme(SchemeSpec::LayeredRandom {
+            n_layers: 9,
+            rho: 0.6,
+        })
+        .lb(LoadBalancing::FatPathsLayers)
+        .workload(&flows);
+    let ecmp = Scenario::on(&t)
+        .scheme(SchemeSpec::Minimal)
+        .lb(LoadBalancing::EcmpFlow)
+        .workload(&flows);
+    let dctcp = fatpaths
+        .clone()
+        .transport(Transport::tcp_default(TcpVariant::Dctcp));
+    let (layered, minimal) = (fatpaths.build_scheme(), ecmp.build_scheme());
     let mut g = c.benchmark_group("packet_sim_sf98_490flows");
     g.sample_size(10);
     g.bench_function("ndp_fatpaths", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(
-                &t,
-                &rt,
-                SimConfig {
-                    lb: LoadBalancing::FatPathsLayers,
-                    ..SimConfig::default()
-                },
-            );
-            sim.add_flows(&flows);
-            black_box(sim.run())
-        })
+        b.iter(|| black_box(fatpaths.run_with(&layered)))
     });
     g.bench_function("ndp_ecmp", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(
-                &t,
-                &ms,
-                SimConfig {
-                    lb: LoadBalancing::EcmpFlow,
-                    ..SimConfig::default()
-                },
-            );
-            sim.add_flows(&flows);
-            black_box(sim.run())
-        })
+        b.iter(|| black_box(ecmp.run_with(&minimal)))
     });
     g.bench_function("tcp_dctcp_fatpaths", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(
-                &t,
-                &rt,
-                SimConfig {
-                    transport: fatpaths_sim::Transport::tcp_default(
-                        fatpaths_sim::TcpVariant::Dctcp,
-                    ),
-                    lb: LoadBalancing::FatPathsLayers,
-                    ..SimConfig::default()
-                },
-            );
-            sim.add_flows(&flows);
-            black_box(sim.run())
-        })
-    });
-    g.finish();
-}
-
-/// The same layered NDP run under the three dispatch mechanisms the
-/// redesign offers. This quantifies the vtable cost of `dyn
-/// RoutingScheme` on the per-packet hot path and what the `BuiltScheme`
-/// enum shim buys back.
-fn bench_dispatch(c: &mut Criterion) {
-    let t = slim_fly(7, 5).unwrap();
-    let flows = adversarial_flows(
-        t.num_endpoints() as u64,
-        5,
-        t.num_routers() as u64,
-        128 * 1024,
-    );
-    let ls = build_random_layers(&t.graph, &LayerConfig::new(9, 0.6, 1));
-    let rt = RoutingTables::build(&t.graph, &ls);
-    let cfg = SimConfig {
-        lb: LoadBalancing::FatPathsLayers,
-        seed: 1,
-        ..SimConfig::default()
-    };
-    let mut g = c.benchmark_group("routing_dispatch_sf98");
-    g.sample_size(10);
-    g.bench_function("static_concrete_type", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(&t, &rt, cfg);
-            sim.add_flows(&flows);
-            black_box(sim.run())
-        })
-    });
-    g.bench_function("dyn_trait_object", |b| {
-        b.iter(|| {
-            let scheme: &dyn RoutingScheme = &rt;
-            let mut sim: Simulator<'_> = Simulator::new(&t, scheme, cfg);
-            sim.add_flows(&flows);
-            black_box(sim.run())
-        })
-    });
-    g.bench_function("builtscheme_enum", |b| {
-        let sc = Scenario::on(&t)
-            .scheme(SchemeSpec::LayeredRandom {
-                n_layers: 9,
-                rho: 0.6,
-            })
-            .workload(&flows)
-            .seed(1);
-        let built = sc.build_scheme();
-        b.iter(|| black_box(sc.run_with(&built)))
+        b.iter(|| black_box(dctcp.run_with(&layered)))
     });
     g.finish();
 }
@@ -151,5 +71,5 @@ fn bench_fluid(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_packet_sim, bench_dispatch, bench_fluid);
+criterion_group!(benches, bench_packet_sim, bench_fluid);
 criterion_main!(benches);

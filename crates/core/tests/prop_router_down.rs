@@ -13,7 +13,7 @@ use fatpaths_net::graph::UNREACHABLE;
 use fatpaths_net::topo::slimfly::slim_fly;
 use proptest::prelude::*;
 
-/// Simulator-faithful effective lookup: repaired row first, scheme row
+/// The packet engine's effective lookup: repaired row first, scheme row
 /// otherwise. Returns `None` when the entry marks the pair unreachable.
 fn effective_port(
     rt: &RoutingTables,

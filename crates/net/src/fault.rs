@@ -99,11 +99,9 @@ pub struct RouterEvent {
 /// A deterministic description of which links and routers fail and when.
 ///
 /// Static failures are down from `t = 0`; [`LinkEvent`]s and
-/// [`RouterEvent`]s flip state mid-run. The simulator consumes the plan
-/// via `Simulator::apply_fault_plan`, and `Scenario::fault_plan` wires
-/// it into the fluent builder. The legacy single-link
-/// `Scenario::fail_link` / `Simulator::fail_link` APIs are thin wrappers
-/// over the static set, so there is exactly one failure mechanism.
+/// [`RouterEvent`]s flip state mid-run. `Scenario::fault_plan` is the
+/// one way a packet simulation takes failures, a single link included
+/// (`FaultPlan::none().fail(u, v)`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     static_failures: Vec<(RouterId, RouterId)>,

@@ -34,6 +34,7 @@
 use crate::config::SimConfig;
 use crate::engine::{EvKind, EventQueue, TimePs};
 use crate::metrics::RepairTickRecord;
+use crate::scenario::BuiltScheme;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::fault::FaultPlan;
@@ -161,12 +162,14 @@ impl FaultWriter {
 
     /// True iff router `r` is currently dead in the writer's working
     /// state (statics applied; timed events once finalized).
+    #[cfg(test)]
     pub(crate) fn router_is_dead(&self, r: u32) -> bool {
         self.router_dead[r as usize]
     }
 
     /// True iff link `{u, v}` is currently down — failed in its own
     /// right or incident to a dead router.
+    #[cfg(test)]
     pub(crate) fn link_is_down(&self, u: u32, v: u32) -> bool {
         self.down_links.contains(&(u.min(v), u.max(v)))
     }
@@ -193,11 +196,11 @@ impl FaultWriter {
     /// publishes the epoch timeline. Run once, at simulation start;
     /// events beyond the horizon are dropped unexecuted (the shards
     /// never reach them either).
-    pub(crate) fn finalize<R: RoutingScheme + ?Sized>(
+    pub(crate) fn finalize(
         &mut self,
         topo: &Topology,
         net_base: &[u32],
-        scheme: &R,
+        scheme: &BuiltScheme,
         cfg: &SimConfig,
     ) -> FaultTimeline {
         // Statics may have fired a repair schedule before `finalize`;

@@ -7,19 +7,22 @@
 //! * [`engine`] — deterministic event queue and packet slab;
 //! * [`config`] — §VII-A6 constants (9 KB jumbo / 8-pkt windows for NDP,
 //!   100-pkt queues / ECN@33 / 200 µs min-RTO for TCP, 50 µs flowlets);
-//! * [`simulator`] — ports, queues (trim+priority / taildrop+ECN), links,
-//!   routing and load balancing (ECMP, spraying, LetFlow, FatPaths layers);
+//! * `simulator` (internal) — ports, queues (trim+priority /
+//!   taildrop+ECN), links, routing and load balancing (ECMP, spraying,
+//!   LetFlow, FatPaths layers);
 //! * `ndp` (internal) — the purified receiver-driven transport (§III-C);
 //! * `tcp` (internal) — Reno, ECN-Reno, DCTCP (§VIII-A);
 //! * [`fluid`] — max-min fluid model (Fig. 13 at 1M endpoints);
 //! * [`metrics`] — FCT/throughput statistics;
 //! * [`sweep`] — [`SweepRunner`]: deterministic parallel execution of
 //!   scenario grids (bit-identical output for any thread count);
-//! * [`scenario`] — the [`Scenario`]/[`SchemeSpec`] builder: declare a
-//!   topology + routing scheme + transport + workload, get a
-//!   [`SimResult`]. The [`Simulator`] itself is generic over any
-//!   [`RoutingScheme`], so every baseline (layered, ECMP-family, SPAIN,
-//!   PAST, k-shortest-paths, Valiant) is simulatable, not just scored.
+//! * [`scenario`] — the [`Scenario`]/[`SchemeSpec`] builder, the one
+//!   public way to run a packet simulation: declare a topology + routing
+//!   scheme + transport + workload, get a [`SimResult`]. The engine
+//!   forwards through [`BuiltScheme`], an enum with one variant per
+//!   [`RoutingScheme`] adapter, so every baseline (layered, ECMP-family,
+//!   SPAIN, PAST, k-shortest-paths, Valiant) is simulatable, not just
+//!   scored.
 
 pub mod config;
 pub mod engine;
@@ -30,7 +33,7 @@ mod ndp;
 pub mod queueing;
 pub mod scenario;
 mod shard;
-pub mod simulator;
+mod simulator;
 pub mod sweep;
 mod tcp;
 
@@ -48,5 +51,4 @@ pub use metrics::{
 };
 pub use scenario::{BuiltScheme, Scenario, SchemeSpec};
 pub use shard::partition_routers;
-pub use simulator::Simulator;
 pub use sweep::{cell_seed, coord_str, SweepRunner};

@@ -90,7 +90,7 @@ pub struct RunProfile {
 
 /// Best-effort reset of the process peak-RSS high-water mark: writes
 /// `5` to `/proc/self/clear_refs` (Linux: reset `VmHWM` to the current
-/// RSS). [`Simulator::run`](crate::Simulator::run) calls this at run
+/// RSS). Every [`Scenario`](crate::Scenario) run calls this at run
 /// start so each run's [`RunProfile::peak_rss_kb`] measures *that* run
 /// instead of the process-lifetime peak. Silently a no-op where the
 /// file is absent or not writable (non-Linux, locked-down containers) —
@@ -320,8 +320,9 @@ pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> HistogramResult {
 }
 
 /// MPTCP connection FCTs: a connection completes when its slowest subflow
-/// does. `groups` comes from `Simulator::add_mptcp_flows`; returns one FCT
-/// (seconds) per connection, `None` if any subflow was cut off.
+/// does. `groups` comes from [`Scenario::run_mptcp`](crate::Scenario::run_mptcp);
+/// returns one FCT (seconds) per connection, `None` if any subflow was
+/// cut off.
 pub fn mptcp_group_fcts(result: &SimResult, groups: &[Vec<u32>]) -> Vec<Option<f64>> {
     groups
         .iter()

@@ -21,7 +21,6 @@ use crate::config::{AdaptiveMode, LoadBalancing, Transport};
 use crate::engine::{EvKind, PktKind, TimePs};
 use crate::shard::{pop_front, Ctx, Shard};
 use fatpaths_core::fwd::fnv1a;
-use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_telemetry::SpanKind;
 
 /// Fixed NDP sender retransmission timeout (a rare safety net: payload
@@ -29,12 +28,7 @@ use fatpaths_telemetry::SpanKind;
 const NDP_RTO: TimePs = 2_000_000_000; // 2 ms
 
 impl Shard {
-    pub(crate) fn ndp_start<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        initial_window: u32,
-    ) {
+    pub(crate) fn ndp_start(&mut self, cx: &Ctx, flow: u32, initial_window: u32) {
         let ti = cx.tx_idx(flow);
         let n = cx.meta(flow).num_pkts.min(initial_window);
         for _ in 0..n {
@@ -45,12 +39,7 @@ impl Shard {
         self.ndp_arm_rto(cx, flow);
     }
 
-    pub(crate) fn ndp_on_arrive<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        ep: u32,
-        pid: u32,
-    ) {
+    pub(crate) fn ndp_on_arrive(&mut self, cx: &Ctx, ep: u32, pid: u32) {
         let pkt = *self.packets.get(pid);
         self.packets.release(pid);
         let flow = pkt.flow();
@@ -130,12 +119,7 @@ impl Shard {
         }
     }
 
-    fn ndp_adopt_suggestion<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        suggest: u8,
-    ) {
+    fn ndp_adopt_suggestion(&mut self, cx: &Ctx, flow: u32, suggest: u8) {
         if suggest != 0xff {
             let ti = cx.tx_idx(flow);
             let old = self.tx[ti].layer;
@@ -147,7 +131,7 @@ impl Shard {
     }
 
     /// One pull credit = one packet: retransmissions first, then new data.
-    fn ndp_send_next<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn ndp_send_next(&mut self, cx: &Ctx, flow: u32) {
         let ti = cx.tx_idx(flow);
         if let Some(seq) = pop_front(&mut self.tx[ti].retxq) {
             self.send_data(cx, flow, seq, true);
@@ -161,7 +145,7 @@ impl Shard {
     /// Queues a pull credit toward the sender, paced at the receiver's
     /// access-link rate (one full-size packet interval per pull). The
     /// pull queue lives on the receiving endpoint's shard.
-    fn ndp_queue_pull<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn ndp_queue_pull(&mut self, cx: &Ctx, flow: u32) {
         let ep = cx.meta(flow).dst_ep;
         let li = cx.ep_idx(ep);
         let was_empty = self.pull_push(li, flow);
@@ -171,7 +155,7 @@ impl Shard {
         }
     }
 
-    pub(crate) fn ndp_pull_tick<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ep: u32) {
+    pub(crate) fn ndp_pull_tick(&mut self, cx: &Ctx, ep: u32) {
         let li = cx.ep_idx(ep);
         if self.now < self.pull_ready[li] {
             let at = self.pull_ready[li];
@@ -205,7 +189,7 @@ impl Shard {
     /// extended deadline, so at most one `RtoTimer` event per flow is
     /// ever live (the eager push-per-ack scheme kept every superseded
     /// timer in the heap for a full RTO).
-    fn ndp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn ndp_arm_rto(&mut self, cx: &Ctx, flow: u32) {
         let ti = cx.tx_idx(flow);
         if self.tx[ti].aborted || self.tx[ti].acked_count >= cx.meta(flow).num_pkts {
             return;
@@ -233,12 +217,7 @@ impl Shard {
     /// window to w timeouts; resending the window mirrors the line-rate
     /// first window of §III-C (receiver-side dedup makes spurious copies
     /// harmless).
-    pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        _gen: u32,
-    ) {
+    pub(crate) fn ndp_on_rto(&mut self, cx: &Ctx, flow: u32, _gen: u32) {
         let ti = cx.tx_idx(flow);
         {
             let f = &self.tx[ti];

@@ -22,10 +22,11 @@
 //!
 //! Scheme construction (table builds, Yen's algorithm, …) dominates setup
 //! cost, so it is split out: [`Scenario::build_scheme`] once, then
-//! [`Scenario::run_with`] per workload/seed. [`BuiltScheme`] is an enum —
-//! the hot-path port lookups dispatch statically through one `match`
-//! instead of a vtable (the "thin enum shim"; `cargo bench` compares
-//! both).
+//! [`Scenario::run_with`] per workload/seed. `Scenario` is the only way
+//! to run a packet simulation, and [`BuiltScheme`] is the only scheme
+//! type the engine forwards through: the hot-path port lookups dispatch
+//! statically through its `match`. A hand-built scheme runs by wrapping
+//! it in its variant, e.g. `run_with(&BuiltScheme::Layered(tables))`.
 
 use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, Transport};
 use crate::engine::TimePs;
@@ -49,6 +50,7 @@ use fatpaths_net::topo::Topology;
 use fatpaths_te::{TeConfig, TeScheme};
 use fatpaths_telemetry::{TelemetryConfig, Trace};
 use fatpaths_workloads::arrivals::FlowSpec;
+use std::borrow::Borrow;
 
 /// Declarative routing-scheme selection — every baseline of the paper's
 /// comparison (§VI / §VII-A3), all simulatable through the same
@@ -126,8 +128,10 @@ impl SchemeSpec {
     }
 }
 
-/// A constructed routing scheme, owned by the scenario run. The enum
-/// gives the simulator's per-packet lookups static dispatch.
+/// A constructed routing scheme: the one type the packet engine forwards
+/// through. [`Scenario::build_scheme`] builds it from a spec; a hand-built
+/// scheme runs through [`Scenario::run_with`] wrapped in its variant. The
+/// enum gives the per-packet lookups static dispatch.
 pub enum BuiltScheme<'a> {
     /// Layered forwarding tables (FatPaths random / interference-min /
     /// minimal-only).
@@ -350,24 +354,19 @@ impl<'a> Scenario<'a> {
     }
 
     /// Appends flows to inject (call repeatedly to merge workloads).
-    pub fn workload(mut self, flows: &[FlowSpec]) -> Self {
-        self.flows.extend_from_slice(flows);
-        self
-    }
-
-    /// Fails the bidirectional link `{u, v}` before the run (§V-G).
-    /// Thin wrapper over [`Scenario::fault_plan`]'s static-failure set —
-    /// there is exactly one failure mechanism.
-    pub fn fail_link(mut self, u: u32, v: u32) -> Self {
-        self.faults.add_static(u, v);
+    /// Takes a slice or any iterator of flows: an iterator is collected
+    /// straight into the scenario, so a generated workload is held once,
+    /// not as a caller copy plus the scenario's.
+    pub fn workload<F: Borrow<FlowSpec>>(mut self, flows: impl IntoIterator<Item = F>) -> Self {
+        self.flows.extend(flows.into_iter().map(|f| *f.borrow()));
         self
     }
 
     /// Installs a [`FaultPlan`]: static link and whole-router failures
     /// plus timed `LinkDown`/`LinkUp`/`RouterDown`/`RouterUp` events
     /// (e.g. the [`FaultPlan::rolling_reboot`] and
-    /// [`FaultPlan::maintenance_window`] churn schedules). Merges with
-    /// any links already failed via [`Scenario::fail_link`].
+    /// [`FaultPlan::maintenance_window`] churn schedules). Repeated calls
+    /// merge their plans.
     ///
     /// Whole-router failures filter the workload: a flow whose source or
     /// destination endpoint sits behind a dead router at its start time
@@ -554,21 +553,29 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// Builds the scheme and runs the scenario.
+    /// Builds the scheme and runs the scenario. Like
+    /// [`run_traced`](Scenario::run_traced) and
+    /// [`run_mptcp`](Scenario::run_mptcp), it frees the scenario (its
+    /// flow copy included) once the flows are injected, so that copy
+    /// does not count toward the run's peak memory.
     pub fn run(self) -> SimResult {
         let scheme = self.build_scheme();
-        self.run_with(&scheme)
+        let mut sim = self.make_sim(&scheme);
+        sim.add_flows(&self.flows);
+        drop(self);
+        sim.run()
     }
 
     /// Constructs the simulator with this scenario's config and fault
     /// plan applied — the single wiring point every run path shares.
-    fn make_sim<'s>(&'s self, scheme: &'s BuiltScheme<'a>) -> Simulator<'s, BuiltScheme<'a>> {
+    fn make_sim<'s>(&self, scheme: &'s BuiltScheme<'a>) -> Simulator<'s> {
         let mut sim = Simulator::new(self.topo, scheme, self.sim_config());
         sim.apply_fault_plan(&self.faults);
         sim
     }
 
-    /// Runs against a previously [built](Scenario::build_scheme) scheme.
+    /// Runs against a previously [built](Scenario::build_scheme) scheme,
+    /// or a hand-built one wrapped in its [`BuiltScheme`] variant.
     pub fn run_with(&self, scheme: &BuiltScheme<'a>) -> SimResult {
         let mut sim = self.make_sim(scheme);
         sim.add_flows(&self.flows);
@@ -590,6 +597,7 @@ impl<'a> Scenario<'a> {
         let scheme = self.build_scheme();
         let mut sim = self.make_sim(&scheme);
         sim.add_flows(&self.flows);
+        drop(self);
         let (result, trace) = sim.run_traced();
         (result, trace.expect("telemetry was enabled"))
     }
@@ -602,6 +610,7 @@ impl<'a> Scenario<'a> {
         let scheme = self.build_scheme();
         let mut sim = self.make_sim(&scheme);
         let groups = sim.add_mptcp_flows(&self.flows, subflows);
+        drop(self);
         (sim.run(), groups)
     }
 }
@@ -665,14 +674,10 @@ mod tests {
         // Manual: same layers, tables, config.
         let ls = build_random_layers(&topo.graph, &LayerConfig::new(4, 0.6, 5));
         let rt = RoutingTables::build(&topo.graph, &ls);
-        let cfg = SimConfig {
-            lb: LoadBalancing::FatPathsLayers,
-            seed: 5,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&topo, &rt, cfg);
-        sim.add_flows(&w);
-        let manual = sim.run();
+        let manual = Scenario::on(&topo)
+            .workload(&w)
+            .seed(5)
+            .run_with(&BuiltScheme::Layered(rt));
         assert_eq!(via_builder.end_time, manual.end_time);
         let fb: Vec<_> = via_builder.flows.iter().map(|f| f.finish).collect();
         let fm: Vec<_> = manual.flows.iter().map(|f| f.finish).collect();

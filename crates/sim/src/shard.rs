@@ -34,6 +34,7 @@ use crate::engine::{
     least_loaded, EvKind, EventQueue, Packet, PacketSlab, PktKind, TimePs, NO_PKT,
 };
 use crate::faults::{FaultEpoch, FaultTimeline};
+use crate::scenario::BuiltScheme;
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::topo::Topology;
@@ -57,8 +58,9 @@ pub(crate) struct Port {
     pub data_tail: u32,
     pub prio_head: u32,
     pub prio_tail: u32,
-    /// Queue depths. `u16` is ample: data queues are policy-capped at
-    /// the transport's `queue_pkts` (≤ 100), priority queues at 1024
+    /// Queue depths. Router data queues are policy-capped at the
+    /// transport's `queue_pkts`, which `Simulator::new` rejects above
+    /// `u16::MAX`; priority queues are capped at 1024
     /// (`push_prio_bounded`), and NIC queue depth is never consulted.
     pub data_len: u16,
     pub prio_len: u16,
@@ -542,9 +544,9 @@ impl OutMsg {
 /// pre-computed fault timeline. `Sync` by construction (all shared
 /// references; `RoutingScheme` requires `Sync`), so one `&Ctx` is
 /// captured by all shard workers.
-pub(crate) struct Ctx<'a, R: ?Sized> {
+pub(crate) struct Ctx<'a> {
     pub topo: &'a Topology,
-    pub scheme: &'a R,
+    pub scheme: &'a BuiltScheme<'a>,
     pub cfg: SimConfig,
     pub meta: &'a [FlowMeta],
     pub tx_home: &'a [SlotRef],
@@ -573,7 +575,7 @@ pub(crate) struct Ctx<'a, R: ?Sized> {
     pub faults: &'a FaultTimeline,
 }
 
-impl<R: ?Sized> Ctx<'_, R> {
+impl Ctx<'_> {
     #[inline]
     pub(crate) fn meta(&self, flow: u32) -> &FlowMeta {
         &self.meta[flow as usize]
@@ -643,7 +645,6 @@ pub(crate) struct Shard {
     pub drops: u64,
     pub trim_count: u64,
     pub unroutable: u64,
-    pub host_dead: u64,
     /// Flows resolved this window (completed, aborted, or host-dead);
     /// drained by the driver into its global termination bitset.
     pub resolved: Vec<u32>,
@@ -698,7 +699,6 @@ impl Shard {
             drops: 0,
             trim_count: 0,
             unroutable: 0,
-            host_dead: 0,
             resolved: Vec::new(),
             outbox: (0..n_shards).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
@@ -800,19 +800,14 @@ impl Shard {
     /// The fault snapshot this shard currently sees: immutable, shared
     /// by every shard at the same cursor position.
     #[inline]
-    pub(crate) fn faults<'c, R: ?Sized>(&self, cx: &Ctx<'c, R>) -> &'c FaultEpoch {
+    pub(crate) fn faults<'c>(&self, cx: &Ctx<'c>) -> &'c FaultEpoch {
         &cx.faults.epochs[self.fault_epoch as usize]
     }
 
     /// Runs this shard's events in `[peek, w_end)`, stopping at the
     /// horizon. Window boundaries are exclusive so every shard agrees on
     /// which events belong to which window.
-    pub(crate) fn run_window<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        w_end: TimePs,
-        horizon: TimePs,
-    ) {
+    pub(crate) fn run_window(&mut self, cx: &Ctx, w_end: TimePs, horizon: TimePs) {
         while let Some(t) = self.events.peek_time() {
             if t >= w_end || (horizon > 0 && t > horizon) {
                 return;
@@ -824,7 +819,7 @@ impl Shard {
         }
     }
 
-    pub(crate) fn dispatch<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ev: EvKind) {
+    pub(crate) fn dispatch(&mut self, cx: &Ctx, ev: EvKind) {
         match ev {
             EvKind::FlowStart { flow } => self.on_flow_start(cx, flow),
             EvKind::PortPop { port } => {
@@ -857,7 +852,7 @@ impl Shard {
         }
     }
 
-    fn on_flow_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn on_flow_start(&mut self, cx: &Ctx, flow: u32) {
         let fe = self.faults(cx);
         if fe.dead_router_count != 0 {
             let m = cx.meta(flow);
@@ -870,7 +865,6 @@ impl Shard {
                 // failure to deliver (`unroutable`), the host itself is
                 // gone.
                 self.tx[cx.tx_idx(flow)].host_dead = true;
-                self.host_dead += 1;
                 self.resolved.push(flow);
                 self.span(flow, SpanKind::Abort, 0, 0);
                 return;
@@ -888,12 +882,7 @@ impl Shard {
 
     /// Enqueues a packet at a router output port, applying the queue
     /// policy (trim / drop / mark). `port` is a global id owned here.
-    pub(crate) fn router_enqueue<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        port: u32,
-        pid: u32,
-    ) {
+    pub(crate) fn router_enqueue(&mut self, cx: &Ctx, port: u32, pid: u32) {
         match cx.cfg.transport {
             Transport::Ndp { queue_pkts, .. } => {
                 let (is_data, is_retx) = {
@@ -954,12 +943,7 @@ impl Shard {
     }
 
     /// Enqueues onto an endpoint NIC (no drops: window-bounded).
-    pub(crate) fn nic_enqueue<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        ep: u32,
-        pid: u32,
-    ) {
+    pub(crate) fn nic_enqueue(&mut self, cx: &Ctx, ep: u32, pid: u32) {
         let port = cx.up_base + ep;
         debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
         let is_control = self.packets.get(pid).kind() != PktKind::Data;
@@ -972,7 +956,7 @@ impl Shard {
     /// locally when the far end is on this shard, otherwise the packet
     /// is copied into the destination shard's mailbox (its local slab
     /// slot is released — slab ids are shard-private).
-    fn port_try_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, port: u32) {
+    fn port_try_start(&mut self, cx: &Ctx, port: u32) {
         let (pid, to_is_router, to) = {
             let li = cx.port_idx(port);
             if self.ports[li].busy() {
@@ -1031,7 +1015,7 @@ impl Shard {
 
     // ---- routing ---------------------------------------------------------
 
-    fn on_router_arrive<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, r: u32, pid: u32) {
+    fn on_router_arrive(&mut self, cx: &Ctx, r: u32, pid: u32) {
         debug_assert_eq!(cx.router_shard[r as usize], self.id);
         let fe = self.faults(cx);
         if fe.dead_router_count != 0 && fe.router_is_dead(r) {
@@ -1079,7 +1063,7 @@ impl Shard {
         self.router_enqueue(cx, port, pid);
     }
 
-    fn select_port<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, r: u32, pid: u32) -> Option<u16> {
+    fn select_port(&self, cx: &Ctx, r: u32, pid: u32) -> Option<u16> {
         let p = *self.packets.get(pid);
         let dst_router = cx.dst_router_of(&p);
         let fe = self.faults(cx);
@@ -1147,11 +1131,7 @@ impl Shard {
     /// same-router pairs, single-candidate rows, or every candidate
     /// down). Cost is O(candidates) per boundary with no allocation
     /// (`depth_scratch` is reused across decisions).
-    pub(crate) fn adaptive_repick<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-    ) -> bool {
+    pub(crate) fn adaptive_repick(&mut self, cx: &Ctx, flow: u32) -> bool {
         let m = cx.meta(flow);
         if m.pinned_layer.is_some() {
             return false;
@@ -1252,14 +1232,7 @@ impl Shard {
     /// repair-overlay shadow, then the nonce-hash candidate pick of
     /// `select_port`. `u32::MAX` marks unusable candidates (unreachable
     /// rows, down ports) so `least_loaded` never steers into them.
-    fn first_hop_depth<R: RoutingScheme + ?Sized>(
-        &self,
-        cx: &Ctx<R>,
-        r: u32,
-        dst_router: u32,
-        layer: u8,
-        nonce: u64,
-    ) -> u32 {
+    fn first_hop_depth(&self, cx: &Ctx, r: u32, dst_router: u32, layer: u8, nonce: u64) -> u32 {
         let layer = cx.scheme.update_layer(layer, r, dst_router);
         let fe = self.faults(cx);
         let repaired_row = if fe.repair.is_empty() {
@@ -1299,7 +1272,7 @@ impl Shard {
     /// RTT), so switching paths at a gap cannot reorder — LetFlow's core
     /// argument, which also protects the TCP modes from spurious
     /// dup-ACK retransmissions after a layer change.
-    pub(crate) fn flowlet_update<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    pub(crate) fn flowlet_update(&mut self, cx: &Ctx, flow: u32) {
         let gap = cx.cfg.flowlet_gap;
         let n_layers = cx.n_layers;
         let lb = cx.cfg.lb;
@@ -1343,13 +1316,7 @@ impl Shard {
 
     /// Crafts and sends one data packet of `flow` with sequence `seq`
     /// (sender side — `flow`'s TxFlow lives on this shard).
-    pub(crate) fn send_data<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        seq: u32,
-        retx: bool,
-    ) {
+    pub(crate) fn send_data(&mut self, cx: &Ctx, flow: u32, seq: u32, retx: bool) {
         self.flowlet_update(cx, flow);
         if self.tel.is_some() {
             let kind = if retx {
@@ -1386,9 +1353,9 @@ impl Shard {
     /// (proven alive in the forward direction) and echoes the last data
     /// nonce so reverse-path LetFlow hashing tracks the sender's
     /// flowlet without a cross-shard read.
-    pub(crate) fn send_control<R: RoutingScheme + ?Sized>(
+    pub(crate) fn send_control(
         &mut self,
-        cx: &Ctx<R>,
+        cx: &Ctx,
         flow: u32,
         kind: PktKind,
         seq: u32,
@@ -1417,7 +1384,7 @@ impl Shard {
 
     /// Marks a flow complete (receiver got every byte) and reports it
     /// to the driver's termination set.
-    pub(crate) fn complete_flow<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    pub(crate) fn complete_flow(&mut self, cx: &Ctx, flow: u32) {
         let f = &mut self.rx[cx.rx_idx(flow)];
         if !f.is_finished() {
             f.finished = self.now;
@@ -1431,7 +1398,7 @@ impl Shard {
     /// sequence acked for NDP, cumulative ack at the end for TCP) —
     /// the sender-side stand-in for the receiver's `finished`, which
     /// may live on another shard.
-    pub(crate) fn tx_done<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, flow: u32) -> bool {
+    pub(crate) fn tx_done(&self, cx: &Ctx, flow: u32) -> bool {
         let f = &self.tx[cx.tx_idx(flow)];
         match cx.cfg.transport {
             Transport::Ndp { .. } => f.acked_count >= cx.meta(flow).num_pkts,
@@ -1439,14 +1406,14 @@ impl Shard {
         }
     }
 
-    fn on_endpoint_arrive<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ep: u32, pid: u32) {
+    fn on_endpoint_arrive(&mut self, cx: &Ctx, ep: u32, pid: u32) {
         match cx.cfg.transport {
             Transport::Ndp { .. } => self.ndp_on_arrive(cx, ep, pid),
             Transport::Tcp { .. } => self.tcp_on_arrive(cx, ep, pid),
         }
     }
 
-    fn on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32, gen: u32) {
+    fn on_rto(&mut self, cx: &Ctx, flow: u32, gen: u32) {
         if matches!(cx.cfg.transport, Transport::Ndp { .. }) {
             // Lazy timer discipline: acks extend `rto_deadline` without
             // queueing anything, so a firing before the (extended)
@@ -1482,12 +1449,7 @@ impl Shard {
     /// connection reset — the real-stack outcome, instead of silently
     /// outwaiting the reboot). Returns `true` when the flow was aborted
     /// (the timer must not be re-armed or the transport consulted).
-    fn abort_if_host_dead<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        gen: u32,
-    ) -> bool {
+    fn abort_if_host_dead(&mut self, cx: &Ctx, flow: u32, gen: u32) -> bool {
         let Some(budget) = cx.cfg.abort_on_host_death else {
             return false;
         };
@@ -1527,7 +1489,7 @@ impl Shard {
     /// receiver-originated packet reaching the sender means the
     /// endpoint is (back) up, so a later outage starts a fresh count.
     #[inline]
-    pub(crate) fn reset_dead_rtos<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    pub(crate) fn reset_dead_rtos(&mut self, cx: &Ctx, flow: u32) {
         if cx.cfg.abort_on_host_death.is_some() {
             self.tx[cx.tx_idx(flow)].dead_rtos = 0;
         }

@@ -1,5 +1,6 @@
-//! The packet-level simulator: public facade over the sharded execution
-//! core (`crate::shard`). Endpoint transport logic lives in the
+//! The packet-level simulator: the crate-internal driver over the
+//! sharded execution core (`crate::shard`), run through
+//! [`Scenario`](crate::Scenario). Endpoint transport logic lives in the
 //! crate-internal `ndp` and `tcp` modules.
 //!
 //! Model (matching htsim's structure, §VII-A6): every link is an output
@@ -25,6 +26,7 @@ use crate::config::{SimConfig, Transport};
 use crate::engine::{EvKind, TimePs};
 use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
+use crate::scenario::BuiltScheme;
 use crate::shard::{
     deliver_mailboxes, partition_routers, Ctx, FlowMeta, Port, RxFlow, Shard, SlotRef, TcpState,
     TxFlow,
@@ -37,18 +39,13 @@ use fatpaths_telemetry::{MailboxSample, RepairSample, ShardTelemetry, Trace, Tra
 use fatpaths_workloads::arrivals::FlowSpec;
 use rayon::prelude::*;
 
-/// The packet-level simulator. Construct with [`Simulator::new`], inject
-/// flows, and [`Simulator::run`].
-///
-/// Generic over the routing scheme: the default type parameter is a trait
-/// object (`&dyn RoutingScheme`), so `Simulator<'_>` works with any scheme
-/// behind dynamic dispatch; naming a concrete scheme type
-/// (`Simulator<'_, RoutingTables>`) monomorphizes the per-packet routing
-/// call instead (see `crates/bench/benches/simulator.rs` for the measured
-/// difference).
-pub struct Simulator<'a, R: RoutingScheme + ?Sized = dyn RoutingScheme + 'a> {
+/// The packet-level simulator. Built only by [`Scenario`](crate::Scenario)
+/// (the single public entry point): construct, apply the fault plan,
+/// inject flows, run. Per-packet routing calls dispatch statically
+/// through the [`BuiltScheme`] enum's `match`.
+pub(crate) struct Simulator<'a> {
     pub(crate) topo: &'a Topology,
-    pub(crate) scheme: &'a R,
+    pub(crate) scheme: &'a BuiltScheme<'a>,
     pub(crate) cfg: SimConfig,
     /// Immutable per-flow facts, indexed by flow id.
     meta: Vec<FlowMeta>,
@@ -73,15 +70,23 @@ pub struct Simulator<'a, R: RoutingScheme + ?Sized = dyn RoutingScheme + 'a> {
     pub(crate) shards: Vec<Shard>,
 }
 
-impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
+impl<'a> Simulator<'a> {
     /// Builds the network state for `topo` routed by `scheme`,
     /// partitioned into [`SimConfig::shards`] regions (resolved against
     /// the `FATPATHS_SHARDS` environment variable when 0, clamped to
     /// the router count).
-    pub fn new(topo: &'a Topology, scheme: &'a R, cfg: SimConfig) -> Self {
+    pub(crate) fn new(topo: &'a Topology, scheme: &'a BuiltScheme<'a>, cfg: SimConfig) -> Self {
         assert!(
             scheme.num_layers() >= 1,
             "scheme must expose at least one layer"
+        );
+        // Router data queues are capped at `queue_pkts` and counted in
+        // `Port::data_len: u16`; a larger cap would wrap the counter.
+        let (Transport::Ndp { queue_pkts, .. } | Transport::Tcp { queue_pkts, .. }) = cfg.transport;
+        assert!(
+            queue_pkts <= u16::MAX as u32,
+            "Transport queue_pkts = {queue_pkts} exceeds the per-port queue-depth limit of {}",
+            u16::MAX
         );
         let nr = topo.num_routers();
         let ne = topo.num_endpoints();
@@ -186,7 +191,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     pub(crate) fn with_parts<T>(
         &mut self,
         faults: &FaultTimeline,
-        f: impl FnOnce(&Ctx<'_, R>, &mut [Shard]) -> T,
+        f: impl FnOnce(&Ctx<'_>, &mut [Shard]) -> T,
     ) -> T {
         let cx = Ctx {
             topo: self.topo,
@@ -208,19 +213,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         f(&cx, &mut self.shards)
     }
 
-    /// Fails the bidirectional link `{u, v}` from `t = 0` (§V-G): packets
-    /// forwarded onto it are lost, and — unless a
-    /// [detection delay](SimConfig::detection_delay) is configured —
-    /// recovery happens end-to-end: senders re-pick a layer on
-    /// retransmission timeout, so preprovisioned alternate layers carry
-    /// the affected flows around the failure.
-    ///
-    /// Thin wrapper over the [`FaultPlan`] path (see
-    /// [`Simulator::apply_fault_plan`]), kept for single-link ergonomics.
-    pub fn fail_link(&mut self, u: u32, v: u32) {
-        self.apply_fault_plan(&FaultPlan::none().fail(u, v));
-    }
-
     /// Applies a [`FaultPlan`]: static link and router failures take
     /// effect immediately, timed events are scheduled, and — when
     /// [`SimConfig::detection_delay`] is set — a repair of the routing
@@ -231,7 +223,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// still replicated into every shard's queue, where they serve
     /// purely as epoch-cursor advances (each is a few bytes on the
     /// queue, not a copy of the network state — see `crate::faults`).
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
+    pub(crate) fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let delay = self.cfg.detection_delay;
         self.faults.apply_plan(self.topo, &self.net_base, plan);
         let statics = plan.num_static() + plan.num_static_routers() > 0;
@@ -259,31 +251,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 sh.events.push(ev.at, kind);
             }
         }
-    }
-
-    /// Packets dropped because routing had no live candidate port
-    /// (destination unreachable in the degraded network). Summed over
-    /// shards in shard order.
-    pub fn unroutable_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.unroutable).sum()
-    }
-
-    /// Flows never injected because their source or destination host
-    /// sat behind a dead router at start time.
-    pub fn host_dead_flows(&self) -> u64 {
-        self.shards.iter().map(|s| s.host_dead).sum()
-    }
-
-    /// True iff router `r` is currently dead in the writer's working
-    /// state (statics applied immediately; timed events at run start).
-    pub fn router_is_dead(&self, r: u32) -> bool {
-        self.faults.router_is_dead(r)
-    }
-
-    /// True iff link `{u, v}` is currently down — failed in its own
-    /// right or incident to a dead router.
-    pub fn link_is_down(&self, u: u32, v: u32) -> bool {
-        self.faults.link_is_down(u, v)
     }
 
     /// Registers a flow's halves on their home shards and schedules its
@@ -362,7 +329,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     }
 
     /// Registers flows (any order); they start at their spec times.
-    pub fn add_flows(&mut self, specs: &[FlowSpec]) {
+    pub(crate) fn add_flows(&mut self, specs: &[FlowSpec]) {
         let payload = self.cfg.transport.payload();
         self.reserve_for(specs);
         for spec in specs {
@@ -380,7 +347,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// additive increase is scaled by `1/subflows`). Returns, per spec, the
     /// flow-id group; the connection's FCT is the max over its group (see
     /// [`mptcp_group_fcts`](crate::metrics::mptcp_group_fcts)).
-    pub fn add_mptcp_flows(&mut self, specs: &[FlowSpec], subflows: u32) -> Vec<Vec<u32>> {
+    pub(crate) fn add_mptcp_flows(&mut self, specs: &[FlowSpec], subflows: u32) -> Vec<Vec<u32>> {
         assert!(
             matches!(self.cfg.transport, Transport::Tcp { .. }),
             "MPTCP runs on the TCP transport"
@@ -432,7 +399,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// src_shard, seq)` order. Terminates when every flow is resolved
     /// (completed, aborted, or host-dead), the queues drain, or the
     /// horizon passes.
-    pub fn run(self) -> SimResult {
+    pub(crate) fn run(self) -> SimResult {
         self.run_traced().0
     }
 
@@ -449,7 +416,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// fixed shard count. Events inside a window are attributed to the
     /// window's start interval, so the effective resolution is
     /// `max(interval_ps, lookahead)`.
-    pub fn run_traced(mut self) -> (SimResult, Option<Trace>) {
+    pub(crate) fn run_traced(mut self) -> (SimResult, Option<Trace>) {
         reset_peak_rss();
         let total = self.meta.len();
         let timeline = self
@@ -671,10 +638,47 @@ mod tests {
     use fatpaths_net::topo::slimfly::slim_fly;
     use std::sync::Arc;
 
-    fn fixture() -> (Topology, RoutingTables) {
+    fn fixture() -> (Topology, BuiltScheme<'static>) {
         let topo = slim_fly(5, 1).unwrap();
         let rt = RoutingTables::build(&topo.graph, &LayerSet::minimal_only(&topo.graph));
-        (topo, rt)
+        (topo, BuiltScheme::Layered(rt))
+    }
+
+    /// Statically dead router: all incident links down, neighbors alive.
+    #[test]
+    fn static_router_down_kills_links_and_hosts() {
+        let (topo, rt) = fixture();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default());
+        sim.apply_fault_plan(&FaultPlan::none().fail_router(11));
+        assert!(sim.faults.router_is_dead(11));
+        assert!(!sim.faults.router_is_dead(10));
+        for &nb in topo.graph.neighbors(11) {
+            assert!(sim.faults.link_is_down(11, nb));
+        }
+    }
+
+    /// Telemetry parity across *shard* counts is a non-goal (interval
+    /// rows are per shard by design), but the disabled path is a hard
+    /// contract: no collectors are installed, `run_traced` returns no
+    /// trace, and the run costs exactly one `Option` check per wire
+    /// start.
+    #[test]
+    fn disabled_telemetry_emits_nothing() {
+        let (topo, rt) = fixture();
+        let n = topo.num_endpoints() as u32;
+        let flows: Vec<FlowSpec> = (0..n)
+            .map(|e| FlowSpec {
+                src: e,
+                dst: (e + 5) % n,
+                size: 48 * 1024,
+                start: 0,
+            })
+            .collect();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default());
+        sim.add_flows(&flows);
+        let (res, trace) = sim.run_traced();
+        assert!(trace.is_none(), "disabled telemetry must yield no trace");
+        assert_eq!(res.completion_rate(), 1.0);
     }
 
     /// Router death fails every incident link atomically; revival
@@ -694,9 +698,12 @@ mod tests {
         sim.faults
             .set_router_state(&topo, &sim.net_base, other_dead, false);
         sim.faults.set_router_state(&topo, &sim.net_base, r, false);
-        assert!(sim.router_is_dead(r));
+        assert!(sim.faults.router_is_dead(r));
         for &nb in nbs {
-            assert!(sim.link_is_down(r, nb), "incident link {r}-{nb} must die");
+            assert!(
+                sim.faults.link_is_down(r, nb),
+                "incident link {r}-{nb} must die"
+            );
         }
         assert_eq!(
             sim.faults.down_count() as usize,
@@ -709,18 +716,18 @@ mod tests {
         // Revival: every incident link returns except the independently
         // cut one and the one into the still-dead neighbor.
         sim.faults.set_router_state(&topo, &sim.net_base, r, true);
-        assert!(!sim.router_is_dead(r));
+        assert!(!sim.faults.router_is_dead(r));
         for &nb in nbs {
             let expect_down = nb == cut || nb == other_dead;
             assert_eq!(
-                sim.link_is_down(r, nb),
+                sim.faults.link_is_down(r, nb),
                 expect_down,
                 "link {r}-{nb} after revival"
             );
         }
         // The independently cut link returns only via LinkUp.
         sim.faults.restore_link_now(&topo, &sim.net_base, r, cut);
-        assert!(!sim.link_is_down(r, cut));
+        assert!(!sim.faults.link_is_down(r, cut));
     }
 
     /// A burst of simultaneous link-state changes coalesces into one
@@ -787,8 +794,8 @@ mod tests {
             1,
             "the writer queues the same single RepairTick"
         );
-        assert!(sim.router_is_dead(20) && sim.router_is_dead(31));
-        assert!(sim.link_is_down(e.0, e.1));
+        assert!(sim.faults.router_is_dead(20) && sim.faults.router_is_dead(31));
+        assert!(sim.faults.link_is_down(e.0, e.1));
     }
 
     /// Finalizing the writer publishes one epoch per fault event, and

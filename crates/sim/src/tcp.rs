@@ -17,7 +17,6 @@ use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, TcpVariant, Transpor
 use crate::engine::{EvKind, PktKind, TimePs};
 use crate::shard::{Ctx, Shard};
 use fatpaths_core::fwd::fnv1a;
-use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_telemetry::SpanKind;
 
 /// DCTCP's EWMA gain g = 1/16.
@@ -35,13 +34,13 @@ fn tcp_params(cfg: &SimConfig) -> (TcpVariant, TimePs) {
 }
 
 impl Shard {
-    pub(crate) fn tcp_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    pub(crate) fn tcp_start(&mut self, cx: &Ctx, flow: u32) {
         self.tcp_try_send(cx, flow);
         self.tcp_arm_rto(cx, flow);
     }
 
     /// Sends while the window allows: retransmissions first, then new data.
-    fn tcp_try_send<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn tcp_try_send(&mut self, cx: &Ctx, flow: u32) {
         let ti = cx.tx_idx(flow);
         let num_pkts = cx.meta(flow).num_pkts;
         loop {
@@ -79,12 +78,7 @@ impl Shard {
         }
     }
 
-    pub(crate) fn tcp_on_arrive<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        ep: u32,
-        pid: u32,
-    ) {
+    pub(crate) fn tcp_on_arrive(&mut self, cx: &Ctx, ep: u32, pid: u32) {
         let pkt = *self.packets.get(pid);
         self.packets.release(pid);
         let flow = pkt.flow();
@@ -114,13 +108,7 @@ impl Shard {
         }
     }
 
-    fn tcp_on_ack<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        cum: u32,
-        ece: bool,
-    ) {
+    fn tcp_on_ack(&mut self, cx: &Ctx, flow: u32, cum: u32, ece: bool) {
         let (variant, _) = tcp_params(&cx.cfg);
         let ti = cx.tx_idx(flow);
         let num_pkts = cx.meta(flow).num_pkts;
@@ -246,7 +234,7 @@ impl Shard {
 
     /// Immediate path re-pick, safe only when the pipe is empty (RTO):
     /// FatPaths re-picks the layer, LetFlow the nonce.
-    fn tcp_flowlet_boundary<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn tcp_flowlet_boundary(&mut self, cx: &Ctx, flow: u32) {
         let n_layers = cx.n_layers as u64;
         let lb = cx.cfg.lb;
         if cx.meta(flow).pinned_layer.is_some() {
@@ -279,7 +267,7 @@ impl Shard {
         }
     }
 
-    fn tcp_rto_value<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, flow: u32) -> TimePs {
+    fn tcp_rto_value(&self, cx: &Ctx, flow: u32) -> TimePs {
         let (_, min_rto) = tcp_params(&cx.cfg);
         let c = &self.tcp[cx.tx_idx(flow)];
         let base = if c.srtt == 0.0 {
@@ -290,7 +278,7 @@ impl Shard {
         (base.max(min_rto)) << c.backoff.min(6)
     }
 
-    fn tcp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+    fn tcp_arm_rto(&mut self, cx: &Ctx, flow: u32) {
         let rto = self.tcp_rto_value(cx, flow);
         let ti = cx.tx_idx(flow);
         if self.tx[ti].cum_ack >= cx.meta(flow).num_pkts || self.tx[ti].aborted {
@@ -302,12 +290,7 @@ impl Shard {
             .push(self.now + rto, EvKind::RtoTimer { flow, gen });
     }
 
-    pub(crate) fn tcp_on_rto<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        gen: u32,
-    ) {
+    pub(crate) fn tcp_on_rto(&mut self, cx: &Ctx, flow: u32, gen: u32) {
         let ti = cx.tx_idx(flow);
         {
             let (txs, tcps) = (&mut self.tx, &mut self.tcp);

@@ -43,7 +43,7 @@ fn run_plan(abort_k: Option<u32>, size: u64, plan: FaultPlan) -> SimResult {
             n_layers: 4,
             rho: 0.6,
         })
-        .workload(&flows)
+        .workload(flows)
         .seed(2)
         .horizon(60 * MS)
         .fault_plan(plan);

@@ -1,11 +1,9 @@
 //! Property-based tests for the simulators: determinism, physical lower
 //! bounds, and fluid-model conservation.
 
-use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::scheme::MinimalScheme;
 use fatpaths_net::topo::star::star;
 use fatpaths_sim::fluid::max_min_rates;
-use fatpaths_sim::{LoadBalancing, SimConfig, Simulator, Transport};
+use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, Transport};
 use fatpaths_workloads::arrivals::FlowSpec;
 use proptest::prelude::*;
 
@@ -15,20 +13,16 @@ proptest! {
     #[test]
     fn fct_never_beats_physics(size in 10_000u64..2_000_000, ndp in any::<bool>()) {
         let topo = star(4);
-        let dm = DistanceMatrix::build(&topo.graph);
-        let ms = MinimalScheme::new(&topo.graph, &dm);
-        let cfg = SimConfig {
-            transport: if ndp {
+        let res = Scenario::on(&topo)
+            .scheme(SchemeSpec::Minimal)
+            .transport(if ndp {
                 Transport::ndp_default()
             } else {
                 Transport::tcp_default(fatpaths_sim::TcpVariant::Reno)
-            },
-            lb: LoadBalancing::EcmpFlow,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&topo, &ms, cfg);
-        sim.add_flows(&[FlowSpec { src: 0, dst: 1, size, start: 0 }]);
-        let res = sim.run();
+            })
+            .lb(LoadBalancing::EcmpFlow)
+            .workload([FlowSpec { src: 0, dst: 1, size, start: 0 }])
+            .run();
         prop_assert_eq!(res.completion_rate(), 1.0);
         let fct = res.flows[0].fct_s().unwrap();
         // Lower bound: payload serialization at 10 Gb/s.
@@ -41,21 +35,15 @@ proptest! {
     #[test]
     fn simulation_deterministic(nflows in 2u32..20, size in 50_000u64..500_000) {
         let topo = star(32);
-        let dm = DistanceMatrix::build(&topo.graph);
-        let ms = MinimalScheme::new(&topo.graph, &dm);
         let flows: Vec<FlowSpec> = (0..nflows)
             .map(|i| FlowSpec { src: i, dst: (i + 13) % 32, size, start: i as u64 * 777 })
             .collect();
-        let run = || {
-            let mut sim = Simulator::new(
-                &topo,
-                &ms,
-                SimConfig { lb: LoadBalancing::EcmpFlow, ..SimConfig::default() },
-            );
-            sim.add_flows(&flows);
-            sim.run()
-        };
-        let (a, b) = (run(), run());
+        let sc = Scenario::on(&topo)
+            .scheme(SchemeSpec::Minimal)
+            .lb(LoadBalancing::EcmpFlow)
+            .workload(&flows);
+        let scheme = sc.build_scheme();
+        let (a, b) = (sc.run_with(&scheme), sc.run_with(&scheme));
         for (x, y) in a.flows.iter().zip(&b.flows) {
             prop_assert_eq!(x.finish, y.finish);
         }

@@ -36,12 +36,10 @@ fn fatpaths_routes_around_failed_link() {
     let run = |spec: SchemeSpec, fail: bool| {
         let mut sc = Scenario::on(&topo)
             .scheme(spec)
-            .workload(&flows)
+            .workload(flows)
             .seed(3)
             .horizon(50_000_000_000); // 50 ms
         if fail {
-            // The FaultPlan path (Scenario::fail_link is a thin wrapper
-            // over the same static-failure set).
             sc = sc.fault_plan(FaultPlan::from_links(&[(p0[0], p0[1])]));
         }
         sc.run()
@@ -79,7 +77,7 @@ fn failure_recovery_costs_bounded_time() {
             n_layers: 9,
             rho: 0.6,
         })
-        .workload(&[FlowSpec {
+        .workload([FlowSpec {
             src: 0,
             dst: 82,
             size: 256 * 1024,
@@ -87,7 +85,7 @@ fn failure_recovery_costs_bounded_time() {
         }])
         .seed(3)
         .horizon(100_000_000_000)
-        .fail_link(p0[0], p0[1])
+        .fault_plan(FaultPlan::none().fail(p0[0], p0[1]))
         .run();
     let fct = res.flows[0].fct_s().expect("must complete");
     // Ideal ≈ 0.21 ms; recovery adds RTOs (2 ms each) but must stay small.
@@ -111,7 +109,7 @@ fn timed_link_events_stall_then_recover() {
     let run = |plan: FaultPlan| {
         Scenario::on(&topo)
             .scheme(SchemeSpec::LayeredMinimal)
-            .workload(&flow)
+            .workload(flow)
             .seed(3)
             .horizon(50_000_000_000)
             .fault_plan(plan)
@@ -154,7 +152,7 @@ fn mid_run_link_down_hits_only_later_flows() {
     ];
     let res = Scenario::on(&topo)
         .scheme(SchemeSpec::LayeredMinimal)
-        .workload(&flows)
+        .workload(flows)
         .seed(3)
         .horizon(40_000_000_000)
         .fault_plan(FaultPlan::none().link_down_at(down_at, p0[0], p0[1]))
@@ -184,7 +182,7 @@ fn detection_and_repair_revive_single_path_routing() {
     }];
     let base = Scenario::on(&topo)
         .scheme(SchemeSpec::LayeredMinimal)
-        .workload(&flow)
+        .workload(flow)
         .seed(3)
         .horizon(50_000_000_000)
         .fault_plan(FaultPlan::from_links(&[(p0[0], p0[1])]));
@@ -220,7 +218,7 @@ fn mptcp_stripes_over_layers_and_completes() {
             rho: 0.6,
         })
         .transport(Transport::tcp_default(TcpVariant::Dctcp))
-        .workload(&specs)
+        .workload(specs)
         .seed(3)
         .run_mptcp(4);
     assert_eq!(groups.len(), 2);
@@ -250,7 +248,7 @@ fn mptcp_survives_failure_of_one_layer_path() {
             rho: 0.6,
         })
         .transport(Transport::tcp_default(TcpVariant::Dctcp))
-        .workload(&[FlowSpec {
+        .workload([FlowSpec {
             src: 0,
             dst: 80,
             size: 400_000,
@@ -275,14 +273,14 @@ fn ecmp_minimal_survives_failure_when_alternatives_exist() {
     let res = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
         .lb(fatpaths_sim::LoadBalancing::PacketSpray)
-        .workload(&[FlowSpec {
+        .workload([FlowSpec {
             src: 0,
             dst: 10,
             size: 128 * 1024,
             start: 0,
         }])
         .horizon(50_000_000_000)
-        .fail_link(0, agg)
+        .fault_plan(FaultPlan::none().fail(0, agg))
         .run();
     assert_eq!(res.completion_rate(), 1.0);
 }

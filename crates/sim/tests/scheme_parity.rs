@@ -1,21 +1,19 @@
-//! API-parity regression tests for the `RoutingScheme` redesign: the
-//! trait-based simulator must produce bit-identical results no matter how
-//! the scheme is dispatched (concrete type, trait object, or the
-//! `Scenario` builder's enum), preserving the behavior of the old
-//! hard-coded `Routing` enum paths. Plus smoke tests that the previously
-//! theory-only baselines complete real workloads.
+//! API-parity regression tests for the `RoutingScheme` redesign: a
+//! hand-built scheme run through `Scenario::run_with` must produce
+//! bit-identical results to the `Scenario` builder's own construction,
+//! preserving the behavior of the old hard-coded `Routing` enum paths.
+//! Plus smoke tests that the previously theory-only baselines complete
+//! real workloads.
 
 use fatpaths_core::ecmp::DistanceMatrix;
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_core::past::PastVariant;
-use fatpaths_core::scheme::{MinimalScheme, PastScheme, RoutingScheme, SpainScheme};
+use fatpaths_core::scheme::{PastScheme, RoutingScheme, SpainScheme};
 use fatpaths_core::spain::SpainConfig;
 use fatpaths_net::classes::{build, SizeClass};
 use fatpaths_net::topo::{fattree::fat_tree, slimfly::slim_fly, TopoKind, Topology};
-use fatpaths_sim::{
-    LoadBalancing, Scenario, SchemeSpec, SimConfig, SimResult, Simulator, Transport,
-};
+use fatpaths_sim::{BuiltScheme, LoadBalancing, Scenario, SchemeSpec, SimResult, Transport};
 use fatpaths_workloads::arrivals::FlowSpec;
 
 fn permutation_flows(topo: &Topology, offset: u64, size: u64) -> Vec<FlowSpec> {
@@ -42,52 +40,36 @@ fn fingerprint(r: &SimResult) -> Vec<(Option<u64>, u32, u32)> {
         .collect()
 }
 
-/// The old `Routing::Layered` path, reconstructed: static dispatch on
-/// `RoutingTables` must equal dynamic dispatch and the builder, for the
-/// same seed, on a fat tree and on a Slim Fly.
+/// The old `Routing::Layered` path, reconstructed: hand-built tables
+/// must equal the builder's, for the same seed, on a fat tree and on a
+/// Slim Fly.
 #[test]
 fn layered_dispatch_paths_are_bit_identical() {
     for topo in [slim_fly(5, 2).unwrap(), fat_tree(4, 2)] {
         let flows = permutation_flows(&topo, 7, 96 * 1024);
-        let ls = build_random_layers(&topo.graph, &LayerConfig::new(4, 0.6, 11));
-        let rt = RoutingTables::build(&topo.graph, &ls);
-        let cfg = SimConfig {
-            lb: LoadBalancing::FatPathsLayers,
-            seed: 11,
-            ..SimConfig::default()
-        };
-
-        // Static dispatch (concrete scheme type).
-        let mut sim_static = Simulator::new(&topo, &rt, cfg);
-        sim_static.add_flows(&flows);
-        let r_static = sim_static.run();
-
-        // Dynamic dispatch (trait object — the default Simulator type).
-        let dyn_scheme: &dyn RoutingScheme = &rt;
-        let mut sim_dyn: Simulator<'_> = Simulator::new(&topo, dyn_scheme, cfg);
-        sim_dyn.add_flows(&flows);
-        let r_dyn = sim_dyn.run();
-
-        // Builder (enum dispatch), same seed.
-        let r_builder = Scenario::on(&topo)
+        let sc = Scenario::on(&topo)
             .scheme(SchemeSpec::LayeredRandom {
                 n_layers: 4,
                 rho: 0.6,
             })
             .workload(&flows)
-            .seed(11)
-            .run();
+            .seed(11);
+        let ls = build_random_layers(&topo.graph, &LayerConfig::new(4, 0.6, 11));
+        let r_manual = sc.run_with(&BuiltScheme::Layered(RoutingTables::build(
+            &topo.graph,
+            &ls,
+        )));
+        let r_builder = sc.run();
 
-        assert_eq!(fingerprint(&r_static), fingerprint(&r_dyn), "{}", topo.name);
         assert_eq!(
-            fingerprint(&r_static),
+            fingerprint(&r_manual),
             fingerprint(&r_builder),
             "{}",
             topo.name
         );
-        assert_eq!(r_static.end_time, r_dyn.end_time);
-        assert_eq!(r_static.trims, r_builder.trims);
-        assert_eq!(r_static.completion_rate(), 1.0);
+        assert_eq!(r_manual.end_time, r_builder.end_time);
+        assert_eq!(r_manual.trims, r_builder.trims);
+        assert_eq!(r_manual.completion_rate(), 1.0);
     }
 }
 
@@ -97,49 +79,30 @@ fn layered_dispatch_paths_are_bit_identical() {
 fn minimal_dispatch_paths_are_bit_identical() {
     for topo in [slim_fly(5, 2).unwrap(), fat_tree(4, 2)] {
         let flows = permutation_flows(&topo, 13, 64 * 1024);
-        let dm = DistanceMatrix::build(&topo.graph);
-        let ms = MinimalScheme::new(&topo.graph, &dm);
+        let ms = BuiltScheme::Minimal {
+            topo: &topo,
+            dm: DistanceMatrix::build(&topo.graph),
+        };
         for lb in [
             LoadBalancing::EcmpFlow,
             LoadBalancing::PacketSpray,
             LoadBalancing::LetFlow,
         ] {
-            let cfg = SimConfig {
-                lb,
-                seed: 2,
-                ..SimConfig::default()
-            };
-            let mut sim_static = Simulator::new(&topo, &ms, cfg);
-            sim_static.add_flows(&flows);
-            let r_static = sim_static.run();
-
-            let dyn_scheme: &dyn RoutingScheme = &ms;
-            let mut sim_dyn: Simulator<'_> = Simulator::new(&topo, dyn_scheme, cfg);
-            sim_dyn.add_flows(&flows);
-            let r_dyn = sim_dyn.run();
-
-            let r_builder = Scenario::on(&topo)
+            let sc = Scenario::on(&topo)
                 .scheme(SchemeSpec::Minimal)
                 .lb(lb)
                 .workload(&flows)
-                .seed(2)
-                .run();
-
+                .seed(2);
+            let r_manual = sc.run_with(&ms);
+            let r_builder = sc.run();
             assert_eq!(
-                fingerprint(&r_static),
-                fingerprint(&r_dyn),
-                "{:?} {}",
-                lb,
-                topo.name
-            );
-            assert_eq!(
-                fingerprint(&r_static),
+                fingerprint(&r_manual),
                 fingerprint(&r_builder),
                 "{:?} {}",
                 lb,
                 topo.name
             );
-            assert_eq!(r_static.completion_rate(), 1.0, "{:?} {}", lb, topo.name);
+            assert_eq!(r_manual.completion_rate(), 1.0, "{:?} {}", lb, topo.name);
         }
     }
 }
@@ -158,18 +121,16 @@ fn spain_adapter_completes_all_flows() {
         },
     );
     assert!(spain.num_layers() >= 2);
+    let spain = BuiltScheme::Spain(spain);
     for transport in [
         Transport::ndp_default(),
         Transport::tcp_default(fatpaths_sim::TcpVariant::Dctcp),
     ] {
-        let cfg = SimConfig {
-            transport,
-            lb: LoadBalancing::FatPathsLayers,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&topo, &spain, cfg);
-        sim.add_flows(&flows);
-        let res = sim.run();
+        let res = Scenario::on(&topo)
+            .transport(transport)
+            .lb(LoadBalancing::FatPathsLayers)
+            .workload(&flows)
+            .run_with(&spain);
         assert_eq!(res.completion_rate(), 1.0, "SPAIN under {transport:?}");
     }
 }
@@ -181,14 +142,11 @@ fn spain_adapter_completes_all_flows() {
 fn past_adapter_completes_all_flows() {
     let topo = slim_fly(5, 2).unwrap();
     let flows = permutation_flows(&topo, 21, 64 * 1024);
-    let past = PastScheme::build(&topo.graph, PastVariant::Bfs, 4);
-    let cfg = SimConfig {
-        lb: LoadBalancing::EcmpFlow,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(&topo, &past, cfg);
-    sim.add_flows(&flows);
-    let res = sim.run();
+    let past = BuiltScheme::Past(PastScheme::build(&topo.graph, PastVariant::Bfs, 4));
+    let res = Scenario::on(&topo)
+        .lb(LoadBalancing::EcmpFlow)
+        .workload(&flows)
+        .run_with(&past);
     assert_eq!(res.completion_rate(), 1.0);
 
     let fp = Scenario::on(&topo)

@@ -408,29 +408,6 @@ fn telemetry_exports_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// Telemetry parity across *shard* counts is a non-goal (interval rows
-/// are per shard by design), but the disabled path is a hard contract:
-/// no collectors are installed, `run_traced` returns no trace, and the
-/// run costs exactly one `Option` check per wire start.
-#[test]
-fn disabled_telemetry_emits_nothing() {
-    let topo = fatpaths_net::topo::slimfly::slim_fly(5, 1).unwrap();
-    let flows = permutation(&topo, 5);
-    let sc = Scenario::on(&topo)
-        .scheme(SchemeSpec::LayeredRandom {
-            n_layers: 3,
-            rho: 0.6,
-        })
-        .workload(&flows)
-        .seed(2);
-    let scheme = sc.build_scheme();
-    let mut sim = fatpaths_sim::Simulator::new(&topo, &scheme, sc.sim_config());
-    sim.add_flows(&flows);
-    let (res, trace) = sim.run_traced();
-    assert!(trace.is_none(), "disabled telemetry must yield no trace");
-    assert_eq!(res.completion_rate(), 1.0);
-}
-
 /// MPTCP subflow groups (pinned layers, coupled congestion avoidance)
 /// survive sharding bit-for-bit, including the group structure.
 #[test]
@@ -604,33 +581,27 @@ proptest! {
 }
 
 /// All-to-all permutation (`e → e + n/2 mod n`) of 16 KiB NDP flows on
-/// `fat_tree(k, 2)`, run through the raw simulator API so the spec
-/// vector can be dropped before the run (the simulator owns its own
-/// flow state; keeping a redundant multi-MB spec copy alive would
-/// land in the measured high-water mark).
+/// `fat_tree(k, 2)`. The flows are generated straight into the scenario,
+/// and the consuming `run` frees the scenario's copy before the run
+/// starts: a redundant multi-MB spec copy would land in the measured
+/// high-water mark.
 fn permutation_run(k: u32, shards: u32) -> fatpaths_sim::SimResult {
     let topo = fatpaths_net::topo::fattree::fat_tree(k, 2);
     let n = topo.num_endpoints() as u64;
-    let flows: Vec<FlowSpec> = (0..n)
+    let flows = (0..n)
         .map(|e| FlowSpec {
             src: e as u32,
             dst: ((e + n / 2) % n) as u32,
             size: 16 * 1024,
             start: 0,
         })
-        .filter(|f| f.src != f.dst)
-        .collect();
-    let dm = fatpaths_core::ecmp::DistanceMatrix::build(&topo.graph);
-    let scheme = fatpaths_core::scheme::MinimalScheme::new(&topo.graph, &dm);
-    let cfg = fatpaths_sim::SimConfig {
-        lb: LoadBalancing::PacketSpray,
-        ..Default::default()
-    }
-    .shards(shards);
-    let mut sim = fatpaths_sim::Simulator::new(&topo, &scheme, cfg);
-    sim.add_flows(&flows);
-    drop(flows);
-    sim.run()
+        .filter(|f| f.src != f.dst);
+    Scenario::on(&topo)
+        .scheme(SchemeSpec::Minimal)
+        .lb(LoadBalancing::PacketSpray)
+        .workload(flows)
+        .shards(shards)
+        .run()
 }
 
 /// Scale acceptance: a full FT3 at ≥100k endpoints completes on the

@@ -1,32 +1,11 @@
 //! Behavioral validation of the packet simulator: line-rate sanity,
 //! congestion behavior, transport correctness, and the paper's headline
-//! routing effects at small scale — all through the `RoutingScheme`-based
-//! API (direct `Simulator` construction and the `Scenario` builder).
+//! routing effects at small scale — all through the `Scenario` builder.
 
-use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::scheme::MinimalScheme;
 use fatpaths_net::topo::{slimfly::slim_fly, star::star};
-use fatpaths_sim::{
-    LoadBalancing, Scenario, SchemeSpec, SimConfig, Simulator, TcpVariant, Transport,
-};
+use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, TcpVariant, Transport};
 use fatpaths_workloads::arrivals::FlowSpec;
 use fatpaths_workloads::MIB;
-
-fn ndp_cfg(lb: LoadBalancing) -> SimConfig {
-    SimConfig {
-        transport: Transport::ndp_default(),
-        lb,
-        ..SimConfig::default()
-    }
-}
-
-fn tcp_cfg(variant: TcpVariant, lb: LoadBalancing) -> SimConfig {
-    SimConfig {
-        transport: Transport::tcp_default(variant),
-        lb,
-        ..SimConfig::default()
-    }
-}
 
 /// 10 Gb/s line rate in MiB/s.
 const LINE_MIB_S: f64 = 10e9 / 8.0 / (1024.0 * 1024.0);
@@ -34,16 +13,17 @@ const LINE_MIB_S: f64 = 10e9 / 8.0 / (1024.0 * 1024.0);
 #[test]
 fn single_ndp_flow_reaches_near_line_rate() {
     let topo = star(4);
-    let dm = DistanceMatrix::build(&topo.graph);
-    let ms = MinimalScheme::new(&topo.graph, &dm);
-    let mut sim = Simulator::new(&topo, &ms, ndp_cfg(LoadBalancing::EcmpFlow));
-    sim.add_flows(&[FlowSpec {
-        src: 0,
-        dst: 1,
-        size: MIB,
-        start: 0,
-    }]);
-    let res = sim.run();
+    let res = Scenario::on(&topo)
+        .scheme(SchemeSpec::Minimal)
+        .transport(Transport::ndp_default())
+        .lb(LoadBalancing::EcmpFlow)
+        .workload([FlowSpec {
+            src: 0,
+            dst: 1,
+            size: MIB,
+            start: 0,
+        }])
+        .run();
     assert_eq!(res.completion_rate(), 1.0);
     let tp = res.flows[0].throughput_mib_s().unwrap();
     assert!(tp > 0.7 * LINE_MIB_S, "throughput {tp} MiB/s too low");
@@ -63,12 +43,12 @@ fn single_tcp_flow_completes_slower_than_ndp() {
     let rn = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
         .transport(Transport::ndp_default())
-        .workload(&flows)
+        .workload(flows)
         .run();
     let rt = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
         .transport(Transport::tcp_default(TcpVariant::Reno))
-        .workload(&flows)
+        .workload(flows)
         .run();
     assert_eq!(rt.completion_rate(), 1.0);
     // Slow start costs TCP several RTTs that NDP's line-rate start avoids.
@@ -258,7 +238,7 @@ fn minimal_layer_set_equals_single_path_routing() {
     let topo = slim_fly(5, 2).unwrap();
     let res = Scenario::on(&topo)
         .scheme(SchemeSpec::LayeredMinimal)
-        .workload(&[FlowSpec {
+        .workload([FlowSpec {
             src: 0,
             dst: 55,
             size: MIB,
@@ -276,7 +256,7 @@ fn horizon_cuts_off_unfinished_flows() {
     let res = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
         .horizon(10_000_000) // 10 µs
-        .workload(&[FlowSpec {
+        .workload([FlowSpec {
             src: 0,
             dst: 1,
             size: 64 * MIB,
@@ -290,23 +270,47 @@ fn horizon_cuts_off_unfinished_flows() {
 #[test]
 fn tcp_ecn_reno_reacts_before_loss() {
     let topo = star(8);
-    let dm = DistanceMatrix::build(&topo.graph);
-    let ms = MinimalScheme::new(&topo.graph, &dm);
+    let flows: Vec<FlowSpec> = (1..=6)
+        .map(|s| FlowSpec {
+            src: s,
+            dst: 0,
+            size: MIB,
+            start: 0,
+        })
+        .collect();
     let run = |variant| {
-        let mut sim = Simulator::new(&topo, &ms, tcp_cfg(variant, LoadBalancing::EcmpFlow));
-        let flows: Vec<FlowSpec> = (1..=6)
-            .map(|s| FlowSpec {
-                src: s,
-                dst: 0,
-                size: MIB,
-                start: 0,
-            })
-            .collect();
-        sim.add_flows(&flows);
-        sim.run()
+        Scenario::on(&topo)
+            .scheme(SchemeSpec::Minimal)
+            .transport(Transport::tcp_default(variant))
+            .lb(LoadBalancing::EcmpFlow)
+            .workload(&flows)
+            .run()
     };
     let reno = run(TcpVariant::Reno);
     let ecn = run(TcpVariant::EcnReno);
     assert_eq!(ecn.completion_rate(), 1.0);
     assert!(ecn.drops <= reno.drops);
+}
+
+/// A queue cap the per-port `u16` depth counter cannot hold is rejected
+/// when the run is built, in every build profile, instead of wrapping
+/// the counter mid-run.
+#[test]
+#[should_panic(expected = "queue_pkts = 70000")]
+fn oversized_queue_cap_is_rejected_at_build_time() {
+    let topo = star(4);
+    Scenario::on(&topo)
+        .scheme(SchemeSpec::Minimal)
+        .transport(Transport::Ndp {
+            queue_pkts: 70_000,
+            initial_window: 8,
+            mtu_payload: 9000,
+        })
+        .workload([FlowSpec {
+            src: 0,
+            dst: 1,
+            size: MIB,
+            start: 0,
+        }])
+        .run();
 }

@@ -19,7 +19,7 @@ fn negotiated(topo: &Topology) -> TeScheme {
     TeScheme::negotiate(&topo.graph, &rt, &demands, &TeConfig::default())
 }
 
-/// Simulator lookup order: overlay first, then `candidate_ports`.
+/// The packet engine's lookup order: overlay first, then `candidate_ports`.
 fn walk_repaired(
     g: &Graph,
     te: &TeScheme,

@@ -19,11 +19,12 @@
 //! comparison baselines — implements the
 //! [`RoutingScheme`](core::scheme::RoutingScheme) trait: per
 //! `(layer, router, destination)` candidate output ports plus metadata.
-//! The packet simulator is generic over the trait, so SPAIN, PAST,
+//! The packet simulator forwards through the trait (via the
+//! [`BuiltScheme`](sim::BuiltScheme) enum), so SPAIN, PAST,
 //! k-shortest-paths, Valiant, ECMP-family, and layered routing all run
 //! through the same event loop under identical transports and workloads
 //! (the comparison §VII makes, now executable end to end). New schemes
-//! plug in without touching the simulator.
+//! plug in with one enum variant, without touching the event loop.
 //!
 //! | Scheme | Adapter | Paths per pair |
 //! |---|---|---|
@@ -81,9 +82,12 @@
 //! assert_eq!(spain.completion_rate(), 1.0);
 //! ```
 //!
-//! For full control (custom schemes, MPTCP, link failures), construct the
-//! [`Simulator`](sim::Simulator) directly with any
-//! [`RoutingScheme`](core::scheme::RoutingScheme) implementation.
+//! [`Scenario`](sim::Scenario) is the only way to run a packet
+//! simulation. For a hand-built scheme, wrap it in its
+//! [`BuiltScheme`](sim::BuiltScheme) variant and call
+//! [`Scenario::run_with`](sim::Scenario::run_with); MPTCP and failures
+//! are [`Scenario::run_mptcp`](sim::Scenario::run_mptcp) and
+//! [`Scenario::fault_plan`](sim::Scenario::fault_plan).
 
 pub use fatpaths_core as core;
 pub use fatpaths_diversity as diversity;
@@ -110,8 +114,8 @@ pub mod prelude {
     pub use fatpaths_net::fault::{FaultModel, FaultPlan, LinkEvent};
     pub use fatpaths_net::topo::{TopoKind, Topology};
     pub use fatpaths_sim::{
-        BuiltScheme, LoadBalancing, Scenario, SchemeSpec, SimConfig, SimResult, Simulator,
-        TcpVariant, TelemetryConfig, Trace, Transport,
+        BuiltScheme, LoadBalancing, Scenario, SchemeSpec, SimConfig, SimResult, TcpVariant,
+        TelemetryConfig, Trace, Transport,
     };
     pub use fatpaths_workloads::arrivals::FlowSpec;
     pub use fatpaths_workloads::patterns::Pattern;
