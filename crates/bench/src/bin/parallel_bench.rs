@@ -467,7 +467,8 @@ fn main() {
     }
     if args.iter().any(|a| a == "--profile") {
         // Execution-layer profile of the scale scenario: window count,
-        // mailbox traffic, fault-epoch publications, and peak RSS, as
+        // mailbox traffic, fault-epoch publications, peak RSS, and the
+        // event loop's busy / critical-path / serial time split, as
         // JSON on stdout. `FATPATHS_THREADS` picks the shard count.
         let shards: u32 = std::env::var("FATPATHS_THREADS")
             .ok()
@@ -486,7 +487,14 @@ fn main() {
         let _ = writeln!(json, "  \"mailbox_bytes\": {},", p.mailbox_bytes);
         let _ = writeln!(json, "  \"epochs_published\": {},", p.epochs_published);
         let _ = writeln!(json, "  \"repair_ticks\": {},", p.repair_ticks);
-        let _ = writeln!(json, "  \"peak_rss_kb\": {}", p.peak_rss_kb);
+        let _ = writeln!(json, "  \"peak_rss_kb\": {},", p.peak_rss_kb);
+        let _ = writeln!(json, "  \"busy_ns\": {},", p.busy_ns);
+        let _ = writeln!(json, "  \"critical_ns\": {},", p.critical_ns);
+        let _ = writeln!(json, "  \"serial_ns\": {},", p.serial_ns);
+        // Busiest shard's time over the mean shard's, summed per window
+        // (1.0 = perfectly balanced).
+        let imbalance = p.critical_ns as f64 * p.shards as f64 / p.busy_ns.max(1) as f64;
+        let _ = writeln!(json, "  \"imbalance\": {imbalance:.3}");
         json.push_str("}\n");
         print!("{json}");
         return;

@@ -62,12 +62,19 @@ pub struct RepairTickRecord {
 }
 
 /// Execution-layer counters for one run: how many lookahead windows the
-/// driver stepped, how much traffic crossed shard boundaries, and how
-/// much fault state was published. Purely observational — none of it
-/// feeds back into the simulation, so the determinism contract (results
-/// bit-identical across shard and thread counts) is unaffected; the
-/// counters themselves (except `peak_rss_kb`, a process-wide OS
-/// measurement) are deterministic for a fixed shard count.
+/// driver stepped, how much traffic crossed shard boundaries, how much
+/// fault state was published, and where the event loop's wall time
+/// went. Purely observational — none of it feeds back into the
+/// simulation, so the determinism contract (results bit-identical
+/// across shard and thread counts) is unaffected. The counters are
+/// deterministic for a fixed shard count; `peak_rss_kb` and the three
+/// `*_ns` timings are measurements of the machine and differ from run
+/// to run, so no result fingerprint may include them.
+///
+/// The timings split the event loop: `critical_ns + serial_ns` is its
+/// wall time less the pool's fork-join overhead, and
+/// `critical_ns × shards / busy_ns` is the load imbalance (1.0 when
+/// every window keeps every shard equally busy).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunProfile {
     /// Shards the run executed with.
@@ -86,6 +93,16 @@ pub struct RunProfile {
     /// Peak resident set size of the process in KiB (`VmHWM`), read at
     /// the end of the run; 0 where `/proc` is unavailable.
     pub peak_rss_kb: u64,
+    /// Sum over windows and shards of each shard's window-task time
+    /// (inbox drain plus event loop), in ns. Machine-dependent.
+    pub busy_ns: u64,
+    /// Sum over windows of the busiest shard's window-task time, in ns:
+    /// the parallel section's critical path. Machine-dependent.
+    pub critical_ns: u64,
+    /// Driver time between windows (termination check, mailbox
+    /// posting, telemetry flush, queue trimming), in ns.
+    /// Machine-dependent.
+    pub serial_ns: u64,
 }
 
 /// Best-effort reset of the process peak-RSS high-water mark: writes

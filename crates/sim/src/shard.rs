@@ -2,17 +2,20 @@
 //! and network state, synchronized by conservative lookahead.
 //!
 //! The topology's routers (and their endpoints) are partitioned into K
-//! shards ([`partition_routers`]: whole `Topology::domains` where they
-//! cover the network, a BFS-balanced split otherwise). Each [`Shard`]
+//! shards of about equal port count ([`partition_routers`]: a
+//! depth-first walk over whole `Topology::domains` where the topology
+//! publishes them, a BFS order otherwise). Each [`Shard`]
 //! owns the output ports, flow halves, and event queue for its region
 //! and runs windows of `[t0, t0 + L)` where the lookahead `L` is the
 //! minimum cross-shard link latency (links are homogeneous, so `L =
 //! SimConfig::link_latency`): every packet handoff takes at least
 //! serialization + latency ≥ L, so events a shard processes inside a
 //! window cannot be affected by any other shard's events in the same
-//! window. Cross-shard packets go through per-shard-pair mailboxes
-//! ([`deliver_mailboxes`]) merged deterministically by `(time,
-//! src_shard, seq)` — never by arrival order — and the queues order
+//! window. Cross-shard packets go through per-shard-pair mailboxes —
+//! moved between windows by [`post_mailboxes`], merged by each
+//! destination at the start of its next window
+//! ([`Shard::drain_inboxes`]) — deterministically by `(time,
+//! src_shard, seq)`, never by arrival order, and the queues order
 //! equal-time events by canonical content keys (see `crate::engine`),
 //! so results are bit-identical at any shard and thread count.
 //!
@@ -41,6 +44,7 @@ use fatpaths_net::topo::Topology;
 use fatpaths_telemetry::{ShardTelemetry, SpanKind};
 use fatpaths_workloads::arrivals::FlowSpec;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// An output port: serializer + queues, owned by exactly one shard.
 ///
@@ -539,6 +543,48 @@ impl OutMsg {
     }
 }
 
+/// One direction of a shard pair's boundary traffic: the packets one
+/// shard posted for another during a window, plus the two facts the
+/// serial driver needs from them — earliest arrival and wire bytes —
+/// kept by the sender as it posts, so the driver never walks the
+/// messages themselves.
+pub(crate) struct Mailbox {
+    msgs: Vec<OutMsg>,
+    /// The sender's window base, which the messages' time deltas are
+    /// relative to; stamped when the driver moves the box to its
+    /// destination.
+    base: TimePs,
+    /// Earliest arrival among `msgs` (`TimePs::MAX` while empty).
+    min_at: TimePs,
+    /// Wire bytes `msgs` carry.
+    bytes: u64,
+}
+
+impl Default for Mailbox {
+    fn default() -> Self {
+        Mailbox {
+            msgs: Vec::new(),
+            base: 0,
+            min_at: TimePs::MAX,
+            bytes: 0,
+        }
+    }
+}
+
+impl Mailbox {
+    fn post(&mut self, at: TimePs, base: TimePs, to: u32, to_is_router: bool, pkt: Packet) {
+        // Bounded exact growth — a doubling push on a mailbox that
+        // already holds a window's worth of boundary packets would
+        // permanently raise the high-water mark.
+        if self.msgs.len() == self.msgs.capacity() {
+            self.msgs.reserve_exact((self.msgs.capacity() / 8).max(256));
+        }
+        self.min_at = self.min_at.min(at);
+        self.bytes += pkt.wire_bytes as u64;
+        self.msgs.push(OutMsg::new(at, base, to, to_is_router, pkt));
+    }
+}
+
 /// Read-only context shared by every shard during a run: topology,
 /// scheme, config, flow metadata, the global→local index maps, and the
 /// pre-computed fault timeline. `Sync` by construction (all shared
@@ -649,7 +695,14 @@ pub(crate) struct Shard {
     /// drained by the driver into its global termination bitset.
     pub resolved: Vec<u32>,
     /// Outgoing boundary packets, one mailbox per destination shard.
-    pub outbox: Vec<Vec<OutMsg>>,
+    pub outbox: Vec<Mailbox>,
+    /// Incoming boundary packets, one mailbox per source shard: filled
+    /// by [`post_mailboxes`] between windows, drained by
+    /// [`Shard::drain_inboxes`] at the start of this shard's next window.
+    pub inbox: Vec<Mailbox>,
+    /// Wall time of this shard's last window task (inbox drain plus
+    /// event loop), in ns; read by the driver for `RunProfile` timing.
+    pub window_ns: u64,
     /// Reusable scratch indices (RTO missing-sequence collection).
     pub scratch: Vec<u32>,
     /// Reusable scratch queue-depth snapshot for adaptive flowlet
@@ -700,7 +753,9 @@ impl Shard {
             trim_count: 0,
             unroutable: 0,
             resolved: Vec::new(),
-            outbox: (0..n_shards).map(|_| Vec::new()).collect(),
+            outbox: (0..n_shards).map(|_| Mailbox::default()).collect(),
+            inbox: (0..n_shards).map(|_| Mailbox::default()).collect(),
+            window_ns: 0,
             scratch: Vec::new(),
             depth_scratch: Vec::new(),
             fault_epoch: 0,
@@ -749,6 +804,7 @@ impl Shard {
         self.pull_ready = Vec::new();
         self.resolved = Vec::new();
         self.outbox = Vec::new();
+        self.inbox = Vec::new();
         self.scratch = Vec::new();
         self.depth_scratch = Vec::new();
     }
@@ -802,6 +858,57 @@ impl Shard {
     #[inline]
     pub(crate) fn faults<'c>(&self, cx: &Ctx<'c>) -> &'c FaultEpoch {
         &cx.faults.epochs[self.fault_epoch as usize]
+    }
+
+    /// Drains this shard's inboxes into its own queue in the canonical
+    /// merge order `(time, src_shard, seq)`: sources in ascending shard
+    /// id, each source's messages sorted by time. The sort need not be
+    /// stable: the event queue orders equal-time arrivals by the
+    /// canonical transmission id regardless of push order (pinned by
+    /// `order_is_push_sequence_independent`), so an unstable sort —
+    /// which avoids merge sort's temporary buffer — changes nothing
+    /// observable. The packet is re-allocated in this shard's arena and
+    /// its arrival keyed by the canonical transmission id, so where a
+    /// packet was buffered never shows in the event order. Runs as the
+    /// first step of the shard's window task, in parallel with the
+    /// other shards' drains: it touches only this shard's state.
+    pub(crate) fn drain_inboxes(&mut self) {
+        for s in 0..self.inbox.len() {
+            if self.inbox[s].msgs.is_empty() {
+                continue;
+            }
+            let base = self.inbox[s].base;
+            let mut msgs = std::mem::take(&mut self.inbox[s].msgs);
+            let used = msgs.len();
+            // Ordering by delta is ordering by time (one shared base).
+            msgs.sort_unstable_by_key(|m| m.dt);
+            self.packets.reserve(used);
+            self.events.reserve(used);
+            for m in msgs.drain(..) {
+                let uid = m.pkt.salt;
+                let (at, to, to_is_router) = (m.at(base), m.to(), m.to_is_router());
+                let pid = self.packets.alloc(m.pkt);
+                let kind = if to_is_router {
+                    EvKind::ArriveRouter {
+                        pkt: pid,
+                        router: to,
+                    }
+                } else {
+                    EvKind::ArriveEndpoint { pkt: pid, ep: to }
+                };
+                self.events.push_arrival(at, kind, uid);
+            }
+            // Keep the emptied buffer for reuse — trimmed toward this
+            // window's demand (the buffer is empty, so shrinking is a
+            // free realloc, no copy): boundary traffic peaks in a
+            // handful of windows, and a mailbox sized for its all-time
+            // busiest window otherwise holds that peak for the rest of
+            // the run.
+            if msgs.capacity() > 1024 && msgs.capacity() / 2 > used {
+                msgs.shrink_to((used + used / 2).max(1024));
+            }
+            self.inbox[s].msgs = msgs;
+        }
     }
 
     /// Runs this shard's events in `[peek, w_end)`, stopping at the
@@ -1002,14 +1109,7 @@ impl Shard {
         } else {
             let pkt = *self.packets.get(pid);
             self.packets.release(pid);
-            let ob = &mut self.outbox[tshard as usize];
-            // Bounded exact growth — a doubling push on a mailbox that
-            // already holds a window's worth of boundary packets would
-            // permanently raise the high-water mark.
-            if ob.len() == ob.capacity() {
-                ob.reserve_exact((ob.capacity() / 8).max(256));
-            }
-            ob.push(OutMsg::new(arrive, self.window_base, to, to_is_router, pkt));
+            self.outbox[tshard as usize].post(arrive, self.window_base, to, to_is_router, pkt);
         }
     }
 
@@ -1513,76 +1613,80 @@ impl Shard {
     }
 }
 
-/// Drains every shard's outboxes into the destination shards' queues in
-/// the canonical merge order `(time, src_shard, seq)`: destination
-/// shards iterate sources in ascending shard id, each source's messages
-/// sorted by time. The sort need not be stable: the event queue orders
-/// equal-time arrivals by the canonical transmission id regardless of
-/// push order (pinned by `order_is_push_sequence_independent`), so an
-/// unstable sort — which avoids merge sort's temporary buffer — changes
-/// nothing observable. The packet is re-allocated in the destination's
-/// arena and its arrival keyed by the canonical transmission id, so
-/// where a packet was buffered never shows in the event order.
-///
-/// Returns `(messages, wire_bytes)` crossed, for the run profile.
-pub(crate) fn deliver_mailboxes(shards: &mut [Shard]) -> (u64, u64) {
+/// Boundary traffic the driver moved between two windows: message and
+/// wire-byte counts for the run profile and telemetry, and the earliest
+/// arrival among them (the shards' queues do not hold these yet, so the
+/// next window start must account for them).
+pub(crate) struct Posted {
+    pub msgs: u64,
+    pub bytes: u64,
+    pub min_at: Option<TimePs>,
+}
+
+/// The serial half of the cross-shard exchange: moves every non-empty
+/// outbox into its destination shard's inbox — at most K(K−1) buffer
+/// swaps, no message touched — and hands the inbox buffer the
+/// destination drained last window back to the sender, so each pair's
+/// buffers are reused rather than reallocated. The messages themselves
+/// are merged by [`Shard::drain_inboxes`], inside the parallel window.
+pub(crate) fn post_mailboxes(shards: &mut [Shard]) -> Posted {
     let k = shards.len();
-    let (mut n_msgs, mut n_bytes) = (0u64, 0u64);
-    for d in 0..k {
-        for s in 0..k {
-            if s == d || shards[s].outbox[d].is_empty() {
+    let mut posted = Posted {
+        msgs: 0,
+        bytes: 0,
+        min_at: None,
+    };
+    for s in 0..k {
+        for d in 0..k {
+            if s == d || shards[s].outbox[d].msgs.is_empty() {
                 continue;
             }
+            let mut mb = std::mem::take(&mut shards[s].outbox[d]);
             // All of a mailbox's messages were posted during the same
-            // window, so the sender's window base rebases their time
-            // deltas (and ordering by delta is ordering by time).
-            let base = shards[s].window_base;
-            let mut msgs = std::mem::take(&mut shards[s].outbox[d]);
-            let before = n_msgs as usize;
-            msgs.sort_unstable_by_key(|m| m.dt);
-            let dst = &mut shards[d];
-            dst.packets.reserve(msgs.len());
-            dst.events.reserve(msgs.len());
-            for m in msgs.drain(..) {
-                n_msgs += 1;
-                n_bytes += m.pkt.wire_bytes as u64;
-                let uid = m.pkt.salt;
-                let (at, to, to_is_router) = (m.at(base), m.to(), m.to_is_router());
-                let pid = dst.packets.alloc(m.pkt);
-                let kind = if to_is_router {
-                    EvKind::ArriveRouter {
-                        pkt: pid,
-                        router: to,
-                    }
-                } else {
-                    EvKind::ArriveEndpoint { pkt: pid, ep: to }
-                };
-                dst.events.push_arrival(at, kind, uid);
-            }
-            // Hand the emptied buffer back so its capacity is reused —
-            // trimmed toward this window's demand (the buffer is empty,
-            // so shrinking is a free realloc, no copy): boundary
-            // traffic peaks in a handful of windows, and a mailbox
-            // sized for its all-time busiest window otherwise holds
-            // that peak for the rest of the run.
-            let used = n_msgs as usize - before;
-            if msgs.capacity() > 1024 && msgs.capacity() / 2 > used {
-                msgs.shrink_to((used + used / 2).max(1024));
-            }
-            shards[s].outbox[d] = msgs;
+            // window, so the sender's window base rebases their deltas.
+            mb.base = shards[s].window_base;
+            posted.msgs += mb.msgs.len() as u64;
+            posted.bytes += mb.bytes;
+            posted.min_at = Some(posted.min_at.map_or(mb.min_at, |t| t.min(mb.min_at)));
+            std::mem::swap(&mut mb, &mut shards[d].inbox[s]);
+            debug_assert!(mb.msgs.is_empty(), "inbox not drained by its window");
+            shards[s].outbox[d] = Mailbox {
+                msgs: mb.msgs,
+                ..Mailbox::default()
+            };
         }
     }
-    (n_msgs, n_bytes)
+    posted
 }
 
 /// Assigns every router to one of `k` shards (clamped to the router
-/// count). Topologies that publish `Topology::domains` (pods, dragonfly
-/// groups) keep whole domains together — routers outside every domain
-/// (e.g. a fat tree's core) become singleton groups — and the groups
-/// are walked in router-id order and cut into `k` balanced chunks.
-/// Without domains, a BFS order from router 0 is cut into `k` balanced
-/// contiguous chunks, which keeps each shard a connected region on any
-/// topology the BFS can reach.
+/// count) so that every shard owns about the same number of ports.
+///
+/// A router weighs the ports its shard will own for it, `degree + 2 ×
+/// endpoints`: its net ports, its endpoint down-ports, and its
+/// endpoints' NIC up-ports (the per-shard census `Simulator::new`
+/// pre-sizes the port arrays from). The weight is static: it does not
+/// depend on the workload. Routers are laid out in a
+/// locality-preserving order, which is cut at the `k` weight quantiles:
+///
+/// - Topologies that publish `Topology::domains` (a fat tree's per-pod
+///   aggregation layers, dragonfly groups, HyperX rows) walk the group
+///   graph depth-first — each domain contracted to one node, every
+///   other router a singleton — from router 0's group, visiting
+///   neighbors in ascending id. Domains are never split, and on a fat
+///   tree each pod's edge routers sit next to its aggregation layer,
+///   so most of a pod's traffic stays on one shard.
+/// - Topologies without domains (Slim Fly, Jellyfish, …), and walks
+///   with fewer groups than shards, cut a BFS order from router 0
+///   instead, which keeps each shard a connected region on any
+///   topology the BFS can reach.
+///
+/// Each cut lands on the group boundary nearest its quantile (a group
+/// goes to the shard whose quantile interval holds its midpoint), so no
+/// shard weighs more than `total / k` plus the heaviest group; on
+/// uniform weights this is the router-count cut, rounded to the nearest
+/// router. Shard ids are contiguous from 0 with no empty shard — a
+/// heavy group can leave fewer than `k` shards in use.
 ///
 /// Deterministic: repeated calls with the same inputs produce the same
 /// assignment (the simulator's bit-reproducibility depends on it).
@@ -1593,35 +1697,104 @@ pub fn partition_routers(topo: &Topology, k: usize) -> Vec<u32> {
     if k <= 1 {
         return assign;
     }
+    let weight =
+        |r: u32| (topo.graph.neighbors(r).len() + 2 * topo.router_endpoints(r).len()) as u64;
+    let total: u64 = (0..nr as u32).map(weight).sum::<u64>().max(1);
+    let groups = domain_groups(topo);
+    let order = if !topo.domains.is_empty() && groups.len() >= k {
+        group_dfs_order(topo, &groups)
+    } else {
+        bfs_order(topo).into_iter().map(|r| r..r + 1).collect()
+    };
+    // `q` is the quantile interval holding the group's midpoint (in
+    // half-port units, to stay integral); consecutive distinct
+    // intervals map to consecutive shard ids.
+    let (mut before, mut shard, mut last_q) = (0u64, 0u32, 0u128);
+    for g in order {
+        let w: u64 = g.clone().map(weight).sum();
+        let mid2 = (2 * before + w) as u128;
+        let q = (mid2 * k as u128 / (2 * total as u128)).min(k as u128 - 1);
+        if q != last_q {
+            shard += 1;
+            last_q = q;
+        }
+        for r in g {
+            assign[r as usize] = shard;
+        }
+        before += w;
+    }
+    assign
+}
+
+/// The whole-domain grouping the partition walks: every
+/// `Topology::domains` range, plus a singleton for each router outside
+/// all domains, sorted by first router id.
+fn domain_groups(topo: &Topology) -> Vec<Range<u32>> {
+    let nr = topo.num_routers();
     let mut in_domain = vec![false; nr];
     for d in &topo.domains {
         for r in d.start..d.end {
             in_domain[r as usize] = true;
         }
     }
-    let mut groups: Vec<(u32, u32)> = topo.domains.iter().map(|d| (d.start, d.end)).collect();
-    for r in 0..nr as u32 {
-        if !in_domain[r as usize] {
-            groups.push((r, r + 1));
+    let mut groups: Vec<Range<u32>> = topo.domains.clone();
+    groups.extend(
+        (0..nr as u32)
+            .filter(|&r| !in_domain[r as usize])
+            .map(|r| r..r + 1),
+    );
+    groups.sort_unstable_by_key(|g| g.start);
+    groups
+}
+
+/// Depth-first pre-order over the group graph (two groups adjacent when
+/// any of their routers are), from the group of router 0, neighbors in
+/// ascending group order, restarting from the lowest unvisited group
+/// for disconnected components.
+fn group_dfs_order(topo: &Topology, groups: &[Range<u32>]) -> Vec<Range<u32>> {
+    let mut gid = vec![0u32; topo.num_routers()];
+    for (i, g) in groups.iter().enumerate() {
+        for r in g.clone() {
+            gid[r as usize] = i as u32;
         }
     }
-    groups.sort_unstable_by_key(|g| g.0);
-    if !topo.domains.is_empty() && groups.len() >= k {
-        let mut idx = 0usize;
-        for (s, e) in groups {
-            let shard = (idx * k / nr) as u32;
-            for r in s..e {
-                assign[r as usize] = shard;
+    let neighbors = |g: usize| {
+        let mut nb: Vec<u32> = groups[g]
+            .clone()
+            .flat_map(|r| topo.graph.neighbors(r))
+            .map(|&r| gid[r as usize])
+            .filter(|&h| h as usize != g)
+            .collect();
+        nb.sort_unstable();
+        nb.dedup();
+        nb
+    };
+    let mut seen = vec![false; groups.len()];
+    let mut order = Vec::with_capacity(groups.len());
+    // Explicit stack of (neighbor list, next index): recursion would be
+    // as deep as the walk is long.
+    let mut stack: Vec<(Vec<u32>, usize)> = Vec::new();
+    for root in 0..groups.len() {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        order.push(groups[root].clone());
+        stack.push((neighbors(root), 0));
+        while let Some((nb, next)) = stack.last_mut() {
+            let Some(&h) = nb.get(*next) else {
+                stack.pop();
+                continue;
+            };
+            *next += 1;
+            if !seen[h as usize] {
+                seen[h as usize] = true;
+                order.push(groups[h as usize].clone());
+                stack.push((neighbors(h as usize), 0));
             }
-            idx += (e - s) as usize;
-        }
-    } else {
-        let order = bfs_order(topo);
-        for (i, &r) in order.iter().enumerate() {
-            assign[r as usize] = (i * k / nr) as u32;
         }
     }
-    assign
+    order
 }
 
 /// Deterministic BFS visit order over the router graph, restarting from
@@ -1688,6 +1861,48 @@ mod tests {
     }
 
     #[test]
+    fn partition_keeps_the_count_cut_on_uniform_weights() {
+        // Slim Fly routers all weigh the same, so where `k` divides the
+        // router count (Slim Fly has 2q² routers, so always at k = 2)
+        // the weighted cut is exactly the router-count cut of the BFS
+        // order.
+        let topo = slim_fly(5, 2).unwrap();
+        let nr = topo.num_routers();
+        for k in [2, 5, 10, 25] {
+            assert_eq!(nr % k, 0);
+            let assign = partition_routers(&topo, k);
+            for (i, &r) in bfs_order(&topo).iter().enumerate() {
+                assert_eq!(assign[r as usize] as usize, i * k / nr, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn fat_tree_pods_stay_with_their_aggregation_layer() {
+        // The 119k-endpoint fat tree at 2 shards: every pod's edge
+        // routers share their aggregation domain's shard, and the
+        // endpoints split evenly instead of all landing on one side.
+        let topo = fat_tree(62, 2);
+        let assign = partition_routers(&topo, 2);
+        for (pod, d) in topo.domains.iter().enumerate() {
+            let s = assign[d.start as usize];
+            let mut edges = pod as u32 * 31..(pod as u32 + 1) * 31;
+            assert!(edges.all(|r| assign[r as usize] == s), "pod {pod} split");
+        }
+        let ne = topo.num_endpoints();
+        let mut eps = [0usize; 2];
+        for e in 0..ne as u32 {
+            eps[assign[topo.endpoint_router(e) as usize] as usize] += 1;
+        }
+        for n in eps {
+            assert!(
+                n * 10 >= ne * 4 && n * 10 <= ne * 6,
+                "endpoint split {eps:?}"
+            );
+        }
+    }
+
+    #[test]
     fn partition_clamps_to_router_count() {
         let topo = slim_fly(5, 1).unwrap();
         let nr = topo.num_routers();
@@ -1748,11 +1963,16 @@ mod tests {
         // src shard 2 posts first (push order must not matter), with a
         // message earlier in time than src shard 1's first.
         for (src, at, salt) in [(2u32, 10u64, 7u64), (2, 30, 5), (1, 20, 9), (1, 30, 3)] {
-            shards[src as usize].outbox[0].push(OutMsg::new(at, 0, 0, false, mk(salt)));
+            shards[src as usize].outbox[0].post(at, 0, 0, false, mk(salt));
         }
-        let (n, bytes) = deliver_mailboxes(&mut shards);
-        assert_eq!((n, bytes), (4, 4 * 64));
-        assert!(shards[1].outbox[0].is_empty() && shards[2].outbox[0].is_empty());
+        let posted = post_mailboxes(&mut shards);
+        assert_eq!((posted.msgs, posted.bytes), (4, 4 * 64));
+        assert_eq!(posted.min_at, Some(10));
+        assert!(shards[1].outbox[0].msgs.is_empty() && shards[2].outbox[0].msgs.is_empty());
+        // Posting only moves buffers; the destination merges them.
+        assert!(shards[0].events.pop().is_none());
+        shards[0].drain_inboxes();
+        assert!(shards[0].inbox.iter().all(|mb| mb.msgs.is_empty()));
         let mut got = Vec::new();
         while let Some((t, ev)) = shards[0].events.pop() {
             let EvKind::ArriveEndpoint { pkt, .. } = ev else {

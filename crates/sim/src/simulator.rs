@@ -14,7 +14,8 @@
 //! ([`SimConfig::shards`] / `FATPATHS_SHARDS`), each with its own event
 //! queue and packet arena, stepped in conservative-lookahead windows on
 //! the in-tree rayon pool and exchanging boundary packets through
-//! deterministically merged mailboxes. Fault state is shared, not
+//! deterministically merged mailboxes (each shard merges its own inbox
+//! inside the parallel window). Fault state is shared, not
 //! replicated: a single `crate::faults::FaultWriter` replays the fault
 //! plan once at run start and publishes copy-on-write epoch snapshots
 //! the shards read through their epoch cursors. Results are
@@ -28,7 +29,7 @@ use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
 use crate::scenario::BuiltScheme;
 use crate::shard::{
-    deliver_mailboxes, partition_routers, Ctx, FlowMeta, Port, RxFlow, Shard, SlotRef, TcpState,
+    partition_routers, post_mailboxes, Ctx, FlowMeta, Port, RxFlow, Shard, SlotRef, TcpState,
     TxFlow,
 };
 use fatpaths_core::fwd::fnv1a;
@@ -38,6 +39,7 @@ use fatpaths_net::topo::Topology;
 use fatpaths_telemetry::{MailboxSample, RepairSample, ShardTelemetry, Trace, TraceMeta};
 use fatpaths_workloads::arrivals::FlowSpec;
 use rayon::prelude::*;
+use std::time::Instant;
 
 /// The packet-level simulator. Built only by [`Scenario`](crate::Scenario)
 /// (the single public entry point): construct, apply the fault plan,
@@ -91,8 +93,10 @@ impl<'a> Simulator<'a> {
         let nr = topo.num_routers();
         let ne = topo.num_endpoints();
         let router_shard = partition_routers(topo, cfg.resolved_shards());
-        // Shard count = highest shard actually used: a coarse domain
-        // walk may occupy fewer shards than requested.
+        // Shard count = highest shard actually used: the port-weighted
+        // cut keeps domains whole and numbers shards without gaps, so a
+        // domain heavier than a shard's share leaves fewer shards than
+        // requested.
         let k = router_shard
             .iter()
             .map(|&s| s as usize + 1)
@@ -391,14 +395,17 @@ impl<'a> Simulator<'a> {
     /// Runs to completion (or the horizon) and returns per-flow records.
     ///
     /// The driver loop: finalize the fault timeline (the writer replays
-    /// the fault events once and publishes the epoch snapshots), then
-    /// find the earliest pending event across shards, step every shard
-    /// through the window `[t0, t0 + L)` (in parallel for K > 1 —
-    /// lookahead `L` = link latency guarantees window independence),
-    /// then deliver the cross-shard mailboxes in canonical `(time,
-    /// src_shard, seq)` order. Terminates when every flow is resolved
+    /// the fault events once and publishes the epoch snapshots). Then,
+    /// between windows, move each filled outbox to its destination's
+    /// inbox (buffer swaps only) and take `t0` as the earliest pending
+    /// event or posted arrival across shards; then run every shard's
+    /// window task — merge its inboxes in canonical `(time, src_shard,
+    /// seq)` order, then step the window `[t0, t0 + L)` — in parallel
+    /// for K > 1 (lookahead `L` = link latency guarantees window
+    /// independence). Terminates when every flow is resolved
     /// (completed, aborted, or host-dead), the queues drain, or the
-    /// horizon passes.
+    /// horizon passes. The loop's busy, critical-path and serial times
+    /// land in [`RunProfile`].
     pub(crate) fn run(self) -> SimResult {
         self.run_traced().0
     }
@@ -455,6 +462,8 @@ impl<'a> Simulator<'a> {
             let mut cur_iv: u64 = 0;
             let mut mb_msgs: u64 = 0;
             let mut mb_bytes: u64 = 0;
+            // Start of the current serial (between-window) stretch.
+            let mut serial_from = Instant::now();
             loop {
                 for sh in shards.iter_mut() {
                     for f in sh.resolved.drain(..) {
@@ -468,14 +477,23 @@ impl<'a> Simulator<'a> {
                 if total > 0 && resolved >= total {
                     break;
                 }
+                let mut mail_at = None;
                 if k > 1 {
-                    let (msgs, bytes) = deliver_mailboxes(shards);
-                    profile.mailbox_msgs += msgs;
-                    profile.mailbox_bytes += bytes;
-                    mb_msgs += msgs;
-                    mb_bytes += bytes;
+                    let posted = post_mailboxes(shards);
+                    profile.mailbox_msgs += posted.msgs;
+                    profile.mailbox_bytes += posted.bytes;
+                    mb_msgs += posted.msgs;
+                    mb_bytes += posted.bytes;
+                    mail_at = posted.min_at;
                 }
-                let Some(t0) = shards.iter().filter_map(|s| s.events.peek_time()).min() else {
+                // The posted packets are not in any queue yet: their
+                // earliest arrival bounds the window start too.
+                let Some(t0) = shards
+                    .iter()
+                    .filter_map(|s| s.events.peek_time())
+                    .chain(mail_at)
+                    .min()
+                else {
                     break;
                 };
                 if horizon > 0 && t0 > horizon {
@@ -502,17 +520,29 @@ impl<'a> Simulator<'a> {
                 for sh in shards.iter_mut() {
                     sh.window_base = t0;
                 }
+                // The window task: merge the inboxes, then step the
+                // events of `[t0, w_end)`. Both touch only the shard's
+                // own state, so the shards run it in parallel.
+                let step = |sh: &mut Shard| {
+                    let start = Instant::now();
+                    sh.drain_inboxes();
+                    sh.run_window(cx, w_end, horizon);
+                    sh.window_ns = start.elapsed().as_nanos() as u64;
+                };
+                profile.serial_ns += serial_from.elapsed().as_nanos() as u64;
                 if k == 1 {
-                    shards[0].run_window(cx, w_end, horizon);
+                    step(&mut shards[0]);
                 } else {
-                    shards
-                        .par_chunks_mut(1)
-                        .for_each(|c| c[0].run_window(cx, w_end, horizon));
+                    shards.par_chunks_mut(1).for_each(|c| step(&mut c[0]));
                 }
+                serial_from = Instant::now();
+                profile.critical_ns += shards.iter().map(|s| s.window_ns).max().unwrap_or(0);
+                profile.busy_ns += shards.iter().map(|s| s.window_ns).sum::<u64>();
                 for sh in shards.iter_mut() {
                     sh.events.shrink_excess();
                 }
             }
+            profile.serial_ns += serial_from.elapsed().as_nanos() as u64;
             if tcfg.enabled {
                 flush_telemetry(shards, cur_iv);
                 if mb_msgs != 0 {

@@ -484,10 +484,12 @@ proptest! {
 
     // `partition_routers` contract: deterministic across repeated
     // calls, shard ids in range, sizes within 2x of perfectly
-    // balanced, and failure domains (fat-tree pods) never straddle a
-    // shard boundary while there are at least as many domain groups
-    // as shards. Covers both assignment paths — whole-domain chunking
-    // (small k) and the BFS fallback (k exceeds the group count).
+    // balanced, failure domains (a fat tree's per-pod aggregation
+    // layers) never straddle a shard boundary while there are at least
+    // as many domain groups as shards, port weight within one group of
+    // the per-shard share, and no empty shard id. Covers both
+    // assignment paths — the whole-domain walk (small k) and the BFS
+    // fallback (k exceeds the group count).
     #[test]
     fn partition_routers_is_balanced_domain_whole_and_deterministic(
         half_k in 2u32..5,
@@ -513,6 +515,40 @@ proptest! {
                 let s0 = a[d.start as usize];
                 prop_assert!((d.start..d.end).all(|r| a[r as usize] == s0));
             }
+        }
+        // Port-weight balance: a router weighs the ports its shard owns
+        // for it (`degree + 2 × endpoints`), and no shard exceeds its
+        // `total / k` share by more than the heaviest whole-domain group.
+        let weight = |r: usize| {
+            (topo.graph.neighbors(r as u32).len() + 2 * topo.router_endpoints(r as u32).len())
+                as u64
+        };
+        let total: u64 = (0..nr).map(weight).sum();
+        let mut in_domain = vec![false; nr];
+        let mut max_group = 0u64;
+        for d in &topo.domains {
+            max_group = max_group.max((d.start..d.end).map(|r| weight(r as usize)).sum());
+            for r in d.start..d.end {
+                in_domain[r as usize] = true;
+            }
+        }
+        for r in (0..nr).filter(|&r| !in_domain[r]) {
+            max_group = max_group.max(weight(r));
+        }
+        let mut shard_w = vec![0u64; kk];
+        for (r, &s) in a.iter().enumerate() {
+            shard_w[s as usize] += weight(r);
+        }
+        for &w in &shard_w {
+            prop_assert!(
+                w * kk as u64 <= total + kk as u64 * max_group,
+                "shard weight {} > {}/{} + {}", w, total, kk, max_group
+            );
+        }
+        // Shard ids are contiguous: none below the used count is empty.
+        let used = a.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
+        for (s, &sz) in sizes.iter().enumerate().take(used) {
+            prop_assert!(sz > 0, "shard {} of {} used is empty", s, used);
         }
     }
 
@@ -602,6 +638,20 @@ fn permutation_run(k: u32, shards: u32) -> fatpaths_sim::SimResult {
         .workload(flows)
         .shards(shards)
         .run()
+}
+
+/// Locality gate: the boundary traffic of a sharded fat-tree run is a
+/// deterministic work count (no machine dependence), so it is pinned
+/// exactly. Cutting by router id put every edge router on one shard and
+/// sent every packet across the boundary twice; the port-weighted walk
+/// keeps pods next to their aggregation layer.
+#[test]
+fn fat_tree_boundary_traffic_is_pinned() {
+    rayon::ensure_pool(2);
+    let sharded = permutation_run(16, 2);
+    assert_eq!(fingerprint(&sharded), fingerprint(&permutation_run(16, 1)));
+    // The router-id cut crossed 18,432 messages on this run.
+    assert_eq!(sharded.profile.mailbox_msgs, 10_368);
 }
 
 /// Scale acceptance: a full FT3 at ≥100k endpoints completes on the
